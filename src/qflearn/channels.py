@@ -6,6 +6,7 @@ rad/W/km, so the phase rotation converts |x|^2 from mW to W internally.
 A sigma_sq_dbm of -inf gives an exactly noiseless channel (test hook).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class ChannelConfig:
     def __post_init__(self):
         if self.family not in (AWGN, NLPN):
             raise ValueError(f"unknown channel family {self.family!r}")
+        # sigma_sq_dbm = -inf is the noiseless hook; NaN and +inf fail the comparison.
+        if not (self.sigma_sq_dbm < math.inf and all(map(math.isfinite, (self.P_dbm, self.gamma, self.L_km)))):
+            raise ValueError("P_dbm, gamma and L_km must be finite, sigma_sq_dbm finite or -inf")
         if self.family == NLPN:
             if self.gamma < 0.0 or self.L_km <= 0.0 or self.K < 1:
                 raise ValueError("NLPN needs gamma >= 0, L_km > 0, K >= 1")

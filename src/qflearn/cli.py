@@ -27,7 +27,7 @@ from .evaluation import (
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
-from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
+from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
 from .neuralnet import load_network, save_network
 from .training import TrainingConfig, train, write_metrics_csv
 from .transceiver import constellation, export_constellation_csv
@@ -94,13 +94,20 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _reject_non_finite(literal):
+    # -Infinity stays legal: it is how a config asks for a noiseless channel.
+    if literal != "-Infinity":
+        raise ConfigError(f"{literal} is not allowed in a config")
+    return -math.inf
+
+
 def load_config(path):
     """Read and validate an experiment config; returns the raw dict."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
@@ -142,18 +149,18 @@ def build_channel(cfg):
             L_km=float(ch.get("L_km", 0.0)),
             K=int(ch.get("K", 1)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: int(-Infinity)
         raise ConfigError(f"invalid channel config: {exc}") from exc
 
 
 def build_training(cfg):
     tr = cfg["training"]
     quantizer = None
-    clip_fraction = 0.05
+    clip_fraction = DEFAULT_CLIP_FRACTION
     if "quantizer" in cfg:
         qc = cfg["quantizer"]
         quantizer = QuantizerConfig(int(_require(qc, "q_bits", "quantizer")))
-        clip_fraction = float(qc.get("clip_fraction", 0.05))
+        clip_fraction = float(qc.get("clip_fraction", DEFAULT_CLIP_FRACTION))
     bsc = None
     if "bsc" in cfg:
         bsc = BscConfig(float(_require(cfg["bsc"], "flip_prob", "bsc")))
@@ -173,7 +180,7 @@ def build_training(cfg):
             ser_every=int(tr.get("ser_every", 50)),
             ser_symbols=int(tr.get("ser_symbols", 10_000)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid training config: {exc}") from exc
 
 
@@ -375,9 +382,6 @@ def cmd_verify(cfg, out_dir):
             f"bitflip scaling is only claimed for 1- or 2-bit quantization with the natural "
             f"bit mapping; got q_bits={bad}"
         )
-    clip_fraction = 0.05
-    if "quantizer" in cfg:
-        clip_fraction = float(cfg["quantizer"].get("clip_fraction", 0.05))
     channel = build_channel(cfg)
     training = build_training(cfg)
     snapshot_iter = int(vf.get("snapshot_iter", max(1, training.num_iterations // 2)))
@@ -398,10 +402,10 @@ def cmd_verify(cfg, out_dir):
 
     rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY)
     samples = collect_score_samples(tx, rx, channel, training.num_messages, num_samples, rng)
-    quant_reports = verify_quantized_gradient_scaling(samples, quantized_bits, clip_fraction)
+    quant_reports = verify_quantized_gradient_scaling(samples, quantized_bits, training.clip_fraction)
     flip_rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY, 1)
     flip_reports = verify_bitflip_gradient_scaling(
-        samples, flip_rng, bitflip_bits, flip_probs, clip_fraction
+        samples, flip_rng, bitflip_bits, flip_probs, training.clip_fraction
     )
 
     payload = {

@@ -19,6 +19,7 @@ import numpy as np
 
 from .channels import propagate
 from .feedback import (
+    DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
     bussgang_gain,
     indices_to_bits,
@@ -31,6 +32,7 @@ from .transceiver import (
     constellation,
     constellation_jacobian,
     cross_entropy_losses,
+    exploration_variance,
     real_to_complex,
     receive,
 )
@@ -260,10 +262,10 @@ class ScoreSampleSet:
 def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng, chunk=DEFAULT_CHUNK):
     """Sample the exploration policy on a frozen transceiver.
 
-    Uniform messages, constellation symbols, Gaussian perturbation with
-    sigma_p^2 = P*1e-3, channel, receiver cross-entropy per sample.
+    Uniform messages, constellation symbols, Gaussian perturbation with the
+    training exploration variance, channel, receiver cross-entropy per sample.
     """
-    sigma_p_sq = channel_cfg.P_mw * 1e-3
+    sigma_p_sq = exploration_variance(channel_cfg.P_mw)
     points, jac = constellation_jacobian(tx, num_messages, channel_cfg.P_mw)
     messages = np.empty(num_samples, dtype=np.int64)
     perturbations = np.empty((num_samples, 2))
@@ -493,7 +495,7 @@ def _centered_mean(moments, weights, name):
 
 
 def verify_quantized_gradient_scaling(
-    sample_set, q_bits_list=(1, 3, 5), clip_fraction=0.05
+    sample_set, q_bits_list=(1, 3, 5), clip_fraction=DEFAULT_CLIP_FRACTION
 ):
     """Check the Bussgang scaling of the expected gradient under quantization.
 
@@ -557,7 +559,7 @@ def verify_bitflip_gradient_scaling(
     rng,
     q_bits_list=(1, 2),
     flip_probs=(0.1, 0.2, 0.3),
-    clip_fraction=0.05,
+    clip_fraction=DEFAULT_CLIP_FRACTION,
     flip_draws=8,
 ):
     """Check the (1 - 2p) scaling under a binary symmetric feedback channel.

@@ -7,7 +7,8 @@ all batch handling is ordinary numpy broadcasting.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +31,8 @@ class AdamConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("Adam betas must lie strictly inside (0, 1)")
-        if self.epsilon <= 0.0 or self.learning_rate <= 0.0:
-            raise ValueError("Adam learning_rate and epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.learning_rate < math.inf):
+            raise ValueError("Adam learning_rate and epsilon must be positive and finite")
 
 
 @dataclass
@@ -60,7 +61,13 @@ class DenseLayer:
 
 
 class DenseNetwork:
-    """Ordered dense layers plus per-parameter Adam moment accumulators."""
+    """Ordered dense layers over one contiguous float64 parameter vector.
+
+    params holds, layer by layer, the row-major weights then the biases;
+    each layer's weights and biases are views into it, so update them in
+    place (rebinding one detaches it). The Adam moments adam_m and adam_v
+    are flat vectors with the same layout.
+    """
 
     def __init__(self, layers):
         if not layers:
@@ -73,17 +80,23 @@ class DenseNetwork:
         for layer in layers[:-1]:
             if layer.activation == SOFTMAX:
                 raise ValueError("softmax is only allowed as the final layer")
-        self.layers = list(layers)
-        self.reset_adam_state()
-
-    def reset_adam_state(self):
-        self.adam_m = [
-            (np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in self.layers
+        self._layout = []  # per layer: (weights start, biases start, end, weight shape)
+        pos = 0
+        for l in layers:
+            w_end = pos + l.weights.size
+            self._layout.append((pos, w_end, w_end + l.out_dim, l.weights.shape))
+            pos = w_end + l.out_dim
+        self.params = np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in layers])
+        self.layers = [
+            DenseLayer(w, b, l.activation) for l, (w, b) in zip(layers, self.views(self.params))
         ]
-        self.adam_v = [
-            (np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in self.layers
-        ]
+        self.adam_m = np.zeros_like(self.params)
+        self.adam_v = np.zeros_like(self.params)
         self.adam_t = 0
+
+    def views(self, flat):
+        """Per-layer (weights, biases) views into a vector laid out like params."""
+        return [(flat[w0:b0].reshape(shape), flat[b0:end]) for w0, b0, end, shape in self._layout]
 
     @property
     def in_dim(self):
@@ -94,61 +107,35 @@ class DenseNetwork:
         return self.layers[-1].out_dim
 
     def param_count(self):
-        return sum(l.weights.size + l.biases.size for l in self.layers)
+        return self.params.size
 
     def flatten_params(self):
-        return np.concatenate(
-            [np.concatenate([l.weights.ravel(), l.biases]) for l in self.layers]
-        )
+        return self.params.copy()
 
     def set_flat_params(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count(),):
+        if flat.shape != self.params.shape:
             raise ValueError("flat parameter vector has the wrong length")
-        pos = 0
-        for l in self.layers:
-            n = l.weights.size
-            l.weights[...] = flat[pos : pos + n].reshape(l.weights.shape)
-            pos += n
-            l.biases[...] = flat[pos : pos + l.biases.size]
-            pos += l.biases.size
+        self.params[...] = flat
 
     def copy(self):
-        net = DenseNetwork(
-            [
-                DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
-        net.adam_m = [(mw.copy(), mb.copy()) for mw, mb in self.adam_m]
-        net.adam_v = [(vw.copy(), vb.copy()) for vw, vb in self.adam_v]
+        net = DenseNetwork(self.layers)
+        net.adam_m = self.adam_m.copy()
+        net.adam_v = self.adam_v.copy()
         net.adam_t = self.adam_t
         return net
 
 
 @dataclass
 class ParameterGradient:
-    """Per-layer (dW, db) pairs mirroring a network's parameter shapes."""
+    """A gradient laid out like its network's params, with per-layer views."""
 
-    layers: list = field(default_factory=list)
-
-    @classmethod
-    def zeros_like(cls, net):
-        return cls([(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers])
-
-    def flatten(self):
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in self.layers])
+    flat: np.ndarray  # (param_count,)
+    layers: list  # per-layer (dW, db) views into flat
 
     def norm(self):
+        # Summed layer by layer, so the logged grad_norm keeps its last bits.
         return float(np.sqrt(sum(float((dw * dw).sum() + (db * db).sum()) for dw, db in self.layers)))
-
-    def scaled(self, c):
-        return ParameterGradient([(c * dw, c * db) for dw, db in self.layers])
-
-    def add(self, other):
-        return ParameterGradient(
-            [(dw + ow, db + ob) for (dw, db), (ow, ob) in zip(self.layers, other.layers)]
-        )
 
 
 def glorot_init(dims, activations, rng):
@@ -195,20 +182,22 @@ def forward(net, x):
     return (a[0] if single else a), tape
 
 
-def backward(net, tape, output_grad):
+def backward(net, tape, output_grad, out=None):
     """Backpropagate d(scalar)/d(output) through the tape.
 
     output_grad has the same shape as the forward output; for a batched tape
-    the returned ParameterGradient is the sum over the batch rows.
+    the returned ParameterGradient is the sum over the batch rows. Its flat
+    vector is `out` (contiguous float64, overwritten) when given.
     """
     if len(tape) != len(net.layers):
         raise ValueError("tape does not match network depth")
     g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
     if g.shape != tape[-1][2].shape:
         raise ValueError("output_grad shape does not match the taped forward pass")
-    grads = [None] * len(net.layers)
+    flat = np.empty(net.params.size) if out is None else out
+    grad = ParameterGradient(flat, net.views(flat))
     for i in range(len(net.layers) - 1, -1, -1):
-        a_in, z, out = tape[i]
+        a_in, z, a_out = tape[i]
         if a_in.shape[1] != net.layers[i].in_dim:
             raise ValueError("stale tape: layer input width mismatch")
         act = net.layers[i].activation
@@ -216,39 +205,35 @@ def backward(net, tape, output_grad):
             dz = g * (z > 0.0)
         elif act == SOFTMAX:
             # Full softmax Jacobian: dz = q * (g - sum(q * g)).
-            dz = out * (g - (out * g).sum(axis=1, keepdims=True))
+            dz = a_out * (g - (a_out * g).sum(axis=1, keepdims=True))
         else:
             dz = g
-        grads[i] = (dz.T @ a_in, dz.sum(axis=0))
-        g = dz @ net.layers[i].weights
-    return ParameterGradient(grads)
+        dw, db = grad.layers[i]
+        np.matmul(dz.T, a_in, out=dw)
+        np.add.reduce(dz, axis=0, out=db)
+        if i:  # nothing consumes the gradient at the network input
+            g = dz @ net.layers[i].weights
+    return grad
 
 
 def adam_step(net, grad, cfg):
     """Apply one bias-corrected Adam update in place."""
-    for dw, db in grad.layers:
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise ValueError("non-finite gradient")
+    g = grad.flat
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient")
     net.adam_t += 1
     t = net.adam_t
     b1, b2 = cfg.beta1, cfg.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for layer, (mw, mb), (vw, vb), (dw, db) in zip(
-        net.layers, net.adam_m, net.adam_v, grad.layers
-    ):
-        mw *= b1
-        mw += (1.0 - b1) * dw
-        mb *= b1
-        mb += (1.0 - b1) * db
-        vw *= b2
-        vw += (1.0 - b2) * dw * dw
-        vb *= b2
-        vb += (1.0 - b2) * db * db
-        layer.weights -= cfg.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + cfg.epsilon)
-        layer.biases -= cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + cfg.epsilon)
-        if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.biases))):
-            raise ValueError("non-finite parameters after update")
+    m, v = net.adam_m, net.adam_v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    net.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.epsilon)
+    if not np.isfinite(net.params).all():
+        raise ValueError("non-finite parameters after update")
     return net
 
 

@@ -8,18 +8,20 @@ named substreams of one seed, so SER evaluation cadence never shifts the
 training trajectory.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rngstreams
 from .channels import BscConfig, propagate
-from .feedback import QuantizerConfig, bussgang_gain, feedback_roundtrip
+from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, bussgang_gain, feedback_roundtrip
 from .neuralnet import AdamConfig, adam_step
 from .transceiver import (
     build_receiver,
     build_transmitter,
     cross_entropy_losses,
+    exploration_variance,
     perturb,
     policy_gradient,
     real_to_complex,
@@ -34,11 +36,6 @@ PHASE_TX = "tx"
 METRICS_COLUMNS = ("outer_iter", "phase", "step", "empirical_loss", "grad_norm", "g_estimate", "ser")
 
 
-def exploration_variance(power_mw):
-    """Exploration policy variance rule: sigma_p^2 = P * 1e-3 (P in mW)."""
-    return power_mw * 1e-3
-
-
 @dataclass
 class TrainingConfig:
     num_iterations: int  # outer iterations, each N_R rx steps then N_T tx steps
@@ -51,7 +48,7 @@ class TrainingConfig:
     lr_tx: float = 0.001
     quantizer: QuantizerConfig | None = None  # None: perfect (unquantized) feedback
     bsc: BscConfig | None = None
-    clip_fraction: float = 0.05
+    clip_fraction: float = DEFAULT_CLIP_FRACTION
     ser_every: int = 50  # outer-iteration cadence for SER estimates
     ser_symbols: int = 10_000
 
@@ -61,8 +58,10 @@ class TrainingConfig:
         for name in ("num_messages", "n_rx_steps", "n_tx_steps", "batch_rx", "batch_tx", "ser_every", "ser_symbols"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr_rx <= 0.0 or self.lr_tx <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if not (0.0 < self.lr_rx < math.inf and 0.0 < self.lr_tx < math.inf):
+            raise ValueError("learning rates must be positive and finite")
+        if not 0.0 <= self.clip_fraction < 1.0:
+            raise ValueError("clip_fraction must lie in [0, 1)")
         if self.bsc is not None and self.quantizer is None:
             raise ValueError("a binary feedback channel requires a quantizer")
 

@@ -96,6 +96,11 @@ def normalization_backward(grad_symbols, raw, scale):
     return scale * grad_symbols - (scale * dot / s2) * raw
 
 
+def exploration_variance(power_mw):
+    """Exploration policy variance rule: sigma_p^2 = P * 1e-3 (P in mW)."""
+    return power_mw * 1e-3
+
+
 def perturb(symbols, sigma_p_sq, rng):
     """Gaussian exploration x + w, w ~ CN(0, sigma_p_sq), on real pairs.
 
@@ -181,14 +186,13 @@ def constellation_jacobian(net, num_messages, power_mw):
     studies affordable without storing per-sample parameter vectors.
     """
     result = transmit(net, np.arange(num_messages), num_messages, power_mw)
-    n_params = net.param_count()
-    jac = np.zeros((num_messages, 2, n_params))
+    jac = np.empty((num_messages, 2, net.param_count()))
     for m in range(num_messages):
         for c in range(2):
             grad_x = np.zeros_like(result.symbols)
             grad_x[m, c] = 1.0
             grad_raw = normalization_backward(grad_x, result.raw, result.scale)
-            jac[m, c] = backward(net, result.tape, grad_raw).flatten()
+            backward(net, result.tape, grad_raw, out=jac[m, c])
     return result.symbols, jac
 
 

@@ -1,12 +1,14 @@
 """Command-line runner: config validation, artifacts, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qflearn
 from qflearn.cli import OUTPUT_DIR_ENV, config_hash, load_config, main
 from qflearn.feedback import gaussian_one_bit_gain
 
@@ -88,6 +90,58 @@ def test_bsc_without_quantizer_rejected(tmp_path, capsys):
     cfg["bsc"] = {"flip_prob": 0.1}
     assert main(["train", write_config(tmp_path, cfg)]) == 2
     assert "quantizer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, literal",
+    [
+        ("training", "lr_rx", float("nan"), "NaN"),
+        ("channel", "P_dbm", float("inf"), "Infinity"),
+        ("channel", "sigma_sq_dbm", float("nan"), "NaN"),
+        ("quantizer", "clip_fraction", float("nan"), "NaN"),
+    ],
+)
+def test_non_finite_json_literal_rejected(tmp_path, capsys, section, key, value, literal):
+    out = tmp_path / "out"
+    cfg = base_config(out, quantizer={"q_bits": 1})
+    cfg[section][key] = value  # json.dumps writes NaN / Infinity literals
+    path = write_config(tmp_path, cfg)
+    assert literal in open(path).read()
+    assert main(["train", path]) == 2
+    assert literal in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("clip_fraction", [1.0, 1.5, -0.05])
+def test_clip_fraction_out_of_range_rejected_before_training(tmp_path, capsys, clip_fraction):
+    out = tmp_path / "out"
+    cfg = base_config(out, quantizer={"q_bits": 1, "clip_fraction": clip_fraction})
+    assert main(["train", write_config(tmp_path, cfg)]) == 2
+    assert "clip_fraction" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key", [("channel", "P_dbm"), ("channel", "K"), ("training", "num_iterations"), ("training", "lr_tx")]
+)
+def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, key):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg[section][key] = float("-inf")
+    assert main(["train", write_config(tmp_path, cfg)]) == 2
+    assert f"invalid {section} config" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_noiseless_minus_infinity_config_still_loads_and_trains(tmp_path):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["channel"]["sigma_sq_dbm"] = float("-inf")
+    path = write_config(tmp_path, cfg)
+    assert "-Infinity" in open(path).read()
+    assert load_config(path)["channel"]["sigma_sq_dbm"] == float("-inf")
+    assert main(["train", path]) == 0
+    assert (out / "metrics.csv").exists()
 
 
 def test_train_writes_artifacts_and_row_count(tmp_path):
@@ -304,10 +358,14 @@ def test_load_config_happy_path(tmp_path):
 def test_module_entrypoint_subprocess(tmp_path):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, base_config(out))
+    # the child imports the same package this test imported, however pytest found it
+    src_dir = os.path.dirname(os.path.dirname(qflearn.__file__))
+    search_path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qflearn.cli", "train", cfg_path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=search_path),
     )
     assert proc.returncode == 0, proc.stderr
     assert "artifacts written" in proc.stdout

@@ -26,7 +26,7 @@ def scalar_probe_gradient(net, x, probe):
     """Backprop gradient of sum(probe * net(x)) as one flat vector."""
     out, tape = forward(net, x)
     grad = backward(net, tape, np.broadcast_to(probe, out.shape).copy())
-    return grad.flatten(), float((out * probe).sum())
+    return grad.flat, float((out * probe).sum())
 
 
 def finite_difference(net, x, probe, index, h=1e-6):
@@ -146,22 +146,59 @@ def test_flatten_set_roundtrip():
         np.testing.assert_array_equal(a.biases, b.biases)
 
 
+def test_layer_parameters_are_views_of_params():
+    rng = np.random.default_rng(13)
+    net = glorot_init([3, 4, 2], [RELU, LINEAR], rng)
+    assert net.params.flags.c_contiguous and net.params.shape == (net.param_count(),)
+    for layer in net.layers:
+        assert np.shares_memory(layer.weights, net.params)
+        assert np.shares_memory(layer.biases, net.params)
+        assert layer.weights.flags.c_contiguous
+    assert net.adam_m.shape == net.adam_v.shape == net.params.shape
+    # layer by layer, row-major weights then biases
+    net.params[:] = np.arange(net.param_count())
+    np.testing.assert_array_equal(net.layers[0].weights, np.arange(12).reshape(4, 3))
+    np.testing.assert_array_equal(net.layers[0].biases, [12, 13, 14, 15])
+    np.testing.assert_array_equal(net.layers[1].weights, np.arange(16, 24).reshape(2, 4))
+    np.testing.assert_array_equal(net.layers[1].biases, [24, 25])
+
+
 def test_copy_is_independent():
     rng = np.random.default_rng(12)
     net = glorot_init([3, 4, 2], [RELU, LINEAR], rng)
-    net.adam_t = 5
+    out, tape = forward(net, rng.normal(size=(5, 3)))
+    adam_step(net, backward(net, tape, np.ones_like(out)), AdamConfig(learning_rate=0.01))
     dup = net.copy()
+    np.testing.assert_array_equal(dup.params, net.params)
+    np.testing.assert_array_equal(dup.adam_m, net.adam_m)
+    np.testing.assert_array_equal(dup.adam_v, net.adam_v)
+    assert dup.adam_t == net.adam_t == 1
+    for a, b in zip(net.layers, dup.layers):
+        assert a.activation == b.activation
+        assert np.shares_memory(b.weights, dup.params)
+    for name in ("params", "adam_m", "adam_v"):
+        assert not np.shares_memory(getattr(net, name), getattr(dup, name)), name
     dup.layers[0].weights += 1.0
+    dup.adam_m += 1.0
+    dup.adam_v += 1.0
     dup.adam_t = 9
-    assert net.adam_t == 5
+    assert net.adam_t == 1
     assert not np.allclose(net.layers[0].weights, dup.layers[0].weights)
+    assert not np.allclose(net.adam_m, dup.adam_m)
+    assert not np.allclose(net.adam_v, dup.adam_v)
+
+
+def gradient_from_flat(net, flat):
+    """A ParameterGradient over a copy of flat, in net's parameter layout."""
+    flat = np.array(flat, dtype=np.float64)
+    return ParameterGradient(flat, net.views(flat))
 
 
 def test_adam_first_step_matches_hand_formula():
     """With zero moments, step 1 moves each coordinate by lr*g/(|g|+eps')."""
     w = np.array([[1.0, -2.0]])
     net = DenseNetwork([DenseLayer(w.copy(), np.array([0.5]), LINEAR)])
-    grad = ParameterGradient([(np.array([[0.3, -0.7]]), np.array([0.1]))])
+    grad = gradient_from_flat(net, [0.3, -0.7, 0.1])
     cfg = AdamConfig(learning_rate=0.01)
     adam_step(net, grad, cfg)
     # bias-corrected m_hat = g, v_hat = g^2, so the update is lr * sign(g)
@@ -182,20 +219,8 @@ def test_adam_two_steps_match_reference_recursion():
     g1 = rng.normal(size=flat0.shape)
     g2 = rng.normal(size=flat0.shape)
 
-    def as_grad(flat):
-        pieces = []
-        pos = 0
-        for layer in net.layers:
-            n = layer.weights.size
-            dw = flat[pos : pos + n].reshape(layer.weights.shape)
-            pos += n
-            db = flat[pos : pos + layer.biases.size]
-            pos += layer.biases.size
-            pieces.append((dw.copy(), db.copy()))
-        return ParameterGradient(pieces)
-
-    adam_step(net, as_grad(g1), cfg)
-    adam_step(net, as_grad(g2), cfg)
+    adam_step(net, gradient_from_flat(net, g1), cfg)
+    adam_step(net, gradient_from_flat(net, g2), cfg)
 
     m = np.zeros_like(flat0)
     v = np.zeros_like(flat0)
@@ -210,20 +235,81 @@ def test_adam_two_steps_match_reference_recursion():
 
 
 def test_adam_rejects_non_finite_gradient():
+    """A non-finite gradient raises before touching parameters or optimizer state."""
     rng = np.random.default_rng(31)
-    net = glorot_init([2, 2], [LINEAR], rng)
-    grad = ParameterGradient([(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.zeros(2))])
-    with pytest.raises(ValueError):
-        adam_step(net, grad, AdamConfig(learning_rate=0.01))
+    net = glorot_init([2, 3, 2], [RELU, LINEAR], rng)
+    cfg = AdamConfig(learning_rate=0.01)
+    adam_step(net, gradient_from_flat(net, rng.normal(size=net.param_count())), cfg)
+    before = (net.params.copy(), net.adam_m.copy(), net.adam_v.copy(), net.adam_t)
+    for bad in (np.nan, np.inf, -np.inf):
+        flat = rng.normal(size=net.param_count())
+        flat[-1] = bad  # last bias: the final slot of the flat layout
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            adam_step(net, gradient_from_flat(net, flat), cfg)
+        np.testing.assert_array_equal(net.params, before[0])
+        np.testing.assert_array_equal(net.adam_m, before[1])
+        np.testing.assert_array_equal(net.adam_v, before[2])
+        assert net.adam_t == before[3]
 
 
-def test_gradient_norm_and_scaling_helpers():
-    grad = ParameterGradient([(np.array([[3.0]]), np.array([4.0]))])
+def test_gradient_norm_and_flat_layout():
+    """norm() is the Euclidean norm of the flat vector, summed layer by layer."""
+    scalar_net = DenseNetwork([DenseLayer(np.zeros((1, 1)), np.zeros(1), LINEAR)])
+    grad = gradient_from_flat(scalar_net, [3.0, 4.0])
     assert grad.norm() == pytest.approx(5.0)
-    doubled = grad.scaled(2.0)
-    assert doubled.norm() == pytest.approx(10.0)
-    total = grad.add(doubled)
-    np.testing.assert_allclose(total.flatten(), [9.0, 12.0])
+    np.testing.assert_array_equal(grad.flat, [3.0, 4.0])
+    rng = np.random.default_rng(33)
+    net = glorot_init([3, 4, 2], [RELU, LINEAR], rng)
+    grad = gradient_from_flat(net, rng.normal(size=net.param_count()))
+    assert grad.norm() == pytest.approx(float(np.linalg.norm(grad.flat)), rel=1e-14)
+    # the per-layer (dW, db) summation order, as the grad_norm metrics column logs it
+    per_layer = sum(float((dw * dw).sum() + (db * db).sum()) for dw, db in grad.layers)
+    assert grad.norm() == float(np.sqrt(per_layer))
+    assert [dw.shape for dw, _ in grad.layers] == [(4, 3), (2, 4)]
+
+
+def reference_backward(net, tape, output_grad):
+    """Layer-by-layer backward pass returning separate (dW, db) arrays per layer."""
+    g = np.atleast_2d(output_grad)
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        a_in, z, out = tape[i]
+        act = net.layers[i].activation
+        if act == RELU:
+            dz = g * (z > 0.0)
+        elif act == SOFTMAX:
+            dz = out * (g - (out * g).sum(axis=1, keepdims=True))
+        else:
+            dz = g
+        grads[i] = (dz.T @ a_in, dz.sum(axis=0))
+        g = dz @ net.layers[i].weights
+    return grads
+
+
+def test_backward_flat_gradient_is_concatenation_of_views():
+    """The flat gradient is the per-layer views laid end to end, bit-equal to a
+    layer-by-layer reference, and out= receives the same bits in place."""
+    rng = np.random.default_rng(53)
+    for softmax_head in (False, True):
+        net = glorot_init([3, 6, 5, 4], [RELU, RELU, SOFTMAX if softmax_head else LINEAR], rng)
+        out, tape = forward(net, rng.normal(size=(7, 3)))
+        probe = rng.normal(size=out.shape)
+        grad = backward(net, tape, probe)
+        assert grad.flat.shape == (net.param_count(),)
+        for dw, db in grad.layers:
+            assert np.shares_memory(dw, grad.flat) and np.shares_memory(db, grad.flat)
+        np.testing.assert_array_equal(
+            grad.flat, np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grad.layers])
+        )
+        reference = reference_backward(net, tape, probe)
+        np.testing.assert_array_equal(
+            grad.flat, np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in reference])
+        )
+        buf = np.full((2, net.param_count()), np.nan)
+        into = backward(net, tape, probe, out=buf[1])
+        assert np.shares_memory(into.flat, buf[1])
+        np.testing.assert_array_equal(buf[1], grad.flat)
+        assert np.isnan(buf[0]).all()
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -245,9 +331,9 @@ def test_backward_batch_sums_per_sample_gradients():
     x = rng.normal(size=(2, 3))
     probe = rng.normal(size=(2, 2))
     out, tape = forward(net, x)
-    full = backward(net, tape, probe.copy()).flatten()
+    full = backward(net, tape, probe.copy()).flat
     parts = np.zeros_like(full)
     for k in range(2):
         out_k, tape_k = forward(net, x[k : k + 1])
-        parts += backward(net, tape_k, probe[k : k + 1].copy()).flatten()
+        parts += backward(net, tape_k, probe[k : k + 1].copy()).flat
     np.testing.assert_allclose(full, parts, rtol=1e-12)

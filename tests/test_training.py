@@ -54,6 +54,29 @@ def test_config_validation():
         TrainingConfig(num_iterations=1, bsc=BscConfig(flip_prob=0.1))
 
 
+def test_config_rejects_non_finite_and_out_of_range_values():
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(lr_rx=nan), dict(lr_tx=inf), dict(lr_rx=-inf)):
+        with pytest.raises(ValueError, match="learning rates"):
+            TrainingConfig(num_iterations=1, **bad)
+    for clip_fraction in (nan, 1.0, -0.01, inf):
+        with pytest.raises(ValueError, match="clip_fraction"):
+            TrainingConfig(num_iterations=1, clip_fraction=clip_fraction)
+    assert TrainingConfig(num_iterations=1, clip_fraction=0.0).clip_fraction == 0.0
+    for bad in (dict(learning_rate=nan), dict(learning_rate=inf), dict(learning_rate=0.01, epsilon=nan)):
+        with pytest.raises(ValueError, match="Adam"):
+            AdamConfig(**bad)
+    with pytest.raises(ValueError, match="betas"):
+        AdamConfig(learning_rate=0.01, beta1=nan)
+    for bad in (dict(P_dbm=inf), dict(P_dbm=nan), dict(sigma_sq_dbm=nan), dict(sigma_sq_dbm=inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelConfig(**{"family": AWGN, "sigma_sq_dbm": -21.3, "P_dbm": -6.3, **bad})
+    with pytest.raises(ValueError, match="finite"):
+        ChannelConfig(family="nlpn", sigma_sq_dbm=-21.3, P_dbm=0.0, gamma=nan, L_km=10.0)
+    # -inf noise power is the documented noiseless hook and stays legal
+    assert ChannelConfig(family=AWGN, sigma_sq_dbm=-inf, P_dbm=-6.3).sigma_sq_mw == 0.0
+
+
 def test_zero_iterations_returns_initial_networks():
     result = train(TrainingConfig(num_iterations=0), CHANNEL, seed=3)
     assert result.metrics == []

@@ -157,7 +157,7 @@ def test_receiver_gradient_matches_finite_differences(rx):
     y = rng.normal(size=(16, 2))
     messages = rng.integers(0, 16, size=16)
     probs, tape = receive(rx, y)
-    grad = receiver_gradient(rx, tape, probs, messages).flatten()
+    grad = receiver_gradient(rx, tape, probs, messages).flat
 
     flat = rx.flatten_params()
     h = 1e-6
@@ -190,7 +190,7 @@ def test_policy_gradient_matches_surrogate_finite_differences(tx):
     result = transmit(tx, messages, 16, power)
     perturbed, w = perturb(result.symbols, sigma_p_sq, rng)
     losses = rng.uniform(0.1, 2.0, size=batch)
-    grad = policy_gradient(tx, result, w, losses, sigma_p_sq).flatten()
+    grad = policy_gradient(tx, result, w, losses, sigma_p_sq).flat
 
     def surrogate():
         res = transmit(tx, messages, 16, power)
@@ -251,7 +251,7 @@ def test_constellation_jacobian_reproduces_policy_gradient(tx):
     result = transmit(tx, np.arange(16), 16, 0.2344)
     w = rng.normal(0.0, np.sqrt(sigma_p_sq / 2.0), size=(16, 2))
     losses = rng.uniform(0.0, 1.0, size=16)
-    direct = policy_gradient(tx, result, w, losses, sigma_p_sq).flatten()
+    direct = policy_gradient(tx, result, w, losses, sigma_p_sq).flat
     _, jac = constellation_jacobian(tx, 16, 0.2344)
     upstream = losses[:, None] * score_upstream(w, sigma_p_sq) / 16.0
     via_jac = np.einsum("mcp,mc->p", jac, upstream)
