@@ -7,6 +7,7 @@ Config schema is versioned and strict: unknown keys are errors.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import rngstreams
-from .channels import AWGN, NLPN, BscConfig, ChannelConfig
+from .channels import AWGN, BscConfig, ChannelConfig
 from .evaluation import (
     ExactAwgnDetector,
     SampledNlpnDetector,
@@ -27,7 +28,7 @@ from .evaluation import (
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
-from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
+from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
 from .neuralnet import load_network, save_network
 from .training import TrainingConfig, train, write_metrics_csv
 from .transceiver import constellation, export_constellation_csv
@@ -59,21 +60,11 @@ _TOP_KEYS = {
     "verify",
     "bussgang",
 }
-_CHANNEL_KEYS = {"family", "sigma_sq_dbm", "P_dbm", "gamma", "L_km", "K"}
-_TRAINING_KEYS = {
-    "num_iterations",
-    "num_messages",
-    "n_rx_steps",
-    "n_tx_steps",
-    "batch_rx",
-    "batch_tx",
-    "lr_rx",
-    "lr_tx",
-    "ser_every",
-    "ser_symbols",
-}
+_CHANNEL_KEYS = {f.name for f in dataclasses.fields(ChannelConfig)}
+# The quantizer and bsc sections set the other TrainingConfig fields.
+_TRAINING_KEYS = {f.name for f in dataclasses.fields(TrainingConfig)} - {"quantizer", "bsc", "clip_fraction"}
 _QUANTIZER_KEYS = {"q_bits", "clip_fraction"}
-_BSC_KEYS = {"flip_prob"}
+_BSC_KEYS = {f.name for f in dataclasses.fields(BscConfig)}
 _SWEEP_KEYS = {"parameter", "values", "num_symbols", "include_qam16_ml", "ml_draws_per_point"}
 _GRID_KEYS = {"bounds", "resolution"}
 _VERIFY_KEYS = {"num_samples", "quantized_bits", "bitflip_bits", "flip_probs", "snapshot_iter"}
@@ -92,6 +83,31 @@ def _require(mapping, key, context):
     if key not in mapping:
         raise ConfigError(f"missing required key {key!r} in {context}")
     return mapping[key]
+
+
+def _coerce(kind, value, section, key):
+    """kind(value) for an int or float config entry; a value that does not
+    convert (a list, a word, -Infinity for an int) is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(-Infinity)
+        raise ConfigError(f"invalid {section} config: {key}: {exc}") from exc
+
+
+def _build(cls, section_cfg, section, **extra):
+    """cls built from the keys a validated config section sets, numbers
+    coerced to their field type; the dataclass defaults rule the rest."""
+    kwargs = dict(extra)
+    for f in dataclasses.fields(cls):
+        if f.name in section_cfg:
+            value = section_cfg[f.name]
+            kwargs[f.name] = _coerce(f.type, value, section, f.name) if f.type in (int, float) else value
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {f.name!r} in {section}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
 def _reject_non_finite(literal):
@@ -139,49 +155,19 @@ def config_hash(cfg):
 
 
 def build_channel(cfg):
-    ch = cfg["channel"]
-    try:
-        return ChannelConfig(
-            family=_require(ch, "family", "channel"),
-            sigma_sq_dbm=float(_require(ch, "sigma_sq_dbm", "channel")),
-            P_dbm=float(_require(ch, "P_dbm", "channel")),
-            gamma=float(ch.get("gamma", 0.0)),
-            L_km=float(ch.get("L_km", 0.0)),
-            K=int(ch.get("K", 1)),
-        )
-    except (ValueError, OverflowError) as exc:  # OverflowError: int(-Infinity)
-        raise ConfigError(f"invalid channel config: {exc}") from exc
+    return _build(ChannelConfig, cfg["channel"], "channel")
 
 
 def build_training(cfg):
-    tr = cfg["training"]
-    quantizer = None
-    clip_fraction = DEFAULT_CLIP_FRACTION
+    feedback = {}
     if "quantizer" in cfg:
         qc = cfg["quantizer"]
-        quantizer = QuantizerConfig(int(_require(qc, "q_bits", "quantizer")))
-        clip_fraction = float(qc.get("clip_fraction", DEFAULT_CLIP_FRACTION))
-    bsc = None
+        feedback["quantizer"] = _build(QuantizerConfig, qc, "quantizer")
+        if "clip_fraction" in qc:
+            feedback["clip_fraction"] = _coerce(float, qc["clip_fraction"], "quantizer", "clip_fraction")
     if "bsc" in cfg:
-        bsc = BscConfig(float(_require(cfg["bsc"], "flip_prob", "bsc")))
-    try:
-        return TrainingConfig(
-            num_iterations=int(_require(tr, "num_iterations", "training")),
-            num_messages=int(tr.get("num_messages", 16)),
-            n_rx_steps=int(tr.get("n_rx_steps", 30)),
-            n_tx_steps=int(tr.get("n_tx_steps", 20)),
-            batch_rx=int(tr.get("batch_rx", 64)),
-            batch_tx=int(tr.get("batch_tx", 64)),
-            lr_rx=float(tr.get("lr_rx", 0.008)),
-            lr_tx=float(tr.get("lr_tx", 0.001)),
-            quantizer=quantizer,
-            bsc=bsc,
-            clip_fraction=clip_fraction,
-            ser_every=int(tr.get("ser_every", 50)),
-            ser_symbols=int(tr.get("ser_symbols", 10_000)),
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid training config: {exc}") from exc
+        feedback["bsc"] = _build(BscConfig, cfg["bsc"], "bsc")
+    return _build(TrainingConfig, cfg["training"], "training", **feedback)
 
 
 def feedback_mode_label(training_cfg):
@@ -241,44 +227,36 @@ def cmd_ser_sweep(cfg, out_dir):
     values = _require(sweep, "values", "sweep")
     if not values:
         raise ConfigError("sweep values must be nonempty")
-    num_symbols = int(sweep.get("num_symbols", 100_000))
+    num_symbols = _coerce(int, sweep.get("num_symbols", 100_000), "sweep", "num_symbols")
     include_ml = bool(sweep.get("include_qam16_ml", False))
-    ml_draws = int(sweep.get("ml_draws_per_point", 100_000))
+    ml_draws = _coerce(int, sweep.get("ml_draws_per_point", 100_000), "sweep", "ml_draws_per_point")
     channel = build_channel(cfg)
     training = build_training(cfg)
     mode = feedback_mode_label(training)
     q_bits = training.quantizer.q_bits if training.quantizer else ""
     flip_prob = training.bsc.flip_prob if training.bsc else ""
     seed = cfg["seed"]
+    # The configured channel at each sweep point's signal power.
+    powers = [_coerce(float, v, "sweep", "values") for v in values]
+    if parameter == "snr_db":
+        powers = [channel.sigma_sq_dbm + snr for snr in powers]
+    try:
+        point_channels = [dataclasses.replace(channel, P_dbm=p_dbm) for p_dbm in powers]
+    except ValueError as exc:
+        raise ConfigError(f"invalid sweep config: {exc}") from exc
 
     rows = []
     if parameter == "snr_db":
         # Train once at the configured operating point, evaluate each SNR by
         # re-normalizing the constellation to the corresponding power.
         tx, rx = _load_or_train(cfg, out_dir, channel, training)
-        for idx, snr in enumerate(values):
-            eval_channel = ChannelConfig(
-                family=channel.family,
-                sigma_sq_dbm=channel.sigma_sq_dbm,
-                P_dbm=channel.sigma_sq_dbm + float(snr),
-                gamma=channel.gamma,
-                L_km=channel.L_km,
-                K=channel.K,
-            )
+        for idx, eval_channel in enumerate(point_channels):
             rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx)
             res = estimate_ser(tx, rx, eval_channel, training.num_messages, num_symbols, rng)
             rows.append((eval_channel, res, idx))
     else:
         # One transceiver pair per power point, seeded by seed + index.
-        for idx, p_dbm in enumerate(values):
-            point_channel = ChannelConfig(
-                family=channel.family,
-                sigma_sq_dbm=channel.sigma_sq_dbm,
-                P_dbm=float(p_dbm),
-                gamma=channel.gamma,
-                L_km=channel.L_km,
-                K=channel.K,
-            )
+        for idx, point_channel in enumerate(point_channels):
             result = train(training, point_channel, seed + idx)
             rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx)
             res = estimate_ser(result.tx, result.rx, point_channel, training.num_messages, num_symbols, rng)
@@ -325,26 +303,19 @@ def cmd_decision_regions(cfg, out_dir):
         raise ConfigError("decision-regions requires a grid section")
     grid_cfg = cfg["grid"]
     bounds = _require(grid_cfg, "bounds", "grid")
-    resolution = int(_require(grid_cfg, "resolution", "grid"))
+    resolution = _coerce(int, _require(grid_cfg, "resolution", "grid"), "grid", "resolution")
     if not (isinstance(bounds, list) and len(bounds) == 2):
         raise ConfigError("grid bounds must be a [lo, hi] pair")
+    bounds = tuple(_coerce(float, b, "grid", "bounds") for b in bounds)
     channel = build_channel(cfg)
     training = build_training(cfg)
     tx, rx = _load_or_train(cfg, out_dir, channel, training)
     try:
-        grid = decision_regions(rx, (float(bounds[0]), float(bounds[1])), resolution)
+        grid = decision_regions(rx, bounds, resolution)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     path = os.path.join(out_dir, "decision_regions.csv")
-    # export, then splice the comment line under the header for provenance
-    export_decision_regions_csv(path, grid)
-    with open(path) as fh:
-        lines = fh.readlines()
-    with open(path, "w") as fh:
-        fh.write(lines[0])
-        for line in _comment_lines(cfg):
-            fh.write(f"# {line}\n")
-        fh.writelines(lines[1:])
+    export_decision_regions_csv(path, grid, _comment_lines(cfg))
     points = constellation(tx, training.num_messages, channel.P_mw)
     export_constellation_csv(os.path.join(out_dir, "constellation.csv"), points)
     print(f"wrote {resolution}x{resolution} grid to {path}")
@@ -372,10 +343,10 @@ def _report_entry(report, extra):
 
 def cmd_verify(cfg, out_dir):
     vf = cfg.get("verify", {})
-    num_samples = int(vf.get("num_samples", 1_000_000))
-    quantized_bits = [int(q) for q in vf.get("quantized_bits", [1, 3, 5])]
-    bitflip_bits = [int(q) for q in vf.get("bitflip_bits", [1, 2])]
-    flip_probs = [float(p) for p in vf.get("flip_probs", [0.1, 0.2, 0.3])]
+    num_samples = _coerce(int, vf.get("num_samples", 1_000_000), "verify", "num_samples")
+    quantized_bits = [_coerce(int, q, "verify", "quantized_bits") for q in vf.get("quantized_bits", [1, 3, 5])]
+    bitflip_bits = [_coerce(int, q, "verify", "bitflip_bits") for q in vf.get("bitflip_bits", [1, 2])]
+    flip_probs = [_coerce(float, p, "verify", "flip_probs") for p in vf.get("flip_probs", [0.1, 0.2, 0.3])]
     bad = [q for q in bitflip_bits if q not in (1, 2)]
     if bad:
         raise ConfigError(
@@ -384,7 +355,8 @@ def cmd_verify(cfg, out_dir):
         )
     channel = build_channel(cfg)
     training = build_training(cfg)
-    snapshot_iter = int(vf.get("snapshot_iter", max(1, training.num_iterations // 2)))
+    default_snapshot = max(1, training.num_iterations // 2)
+    snapshot_iter = _coerce(int, vf.get("snapshot_iter", default_snapshot), "verify", "snapshot_iter")
 
     tx_path = os.path.join(out_dir, "tx_snapshot.json")
     rx_path = os.path.join(out_dir, "rx_snapshot.json")
@@ -461,10 +433,10 @@ def cmd_verify(cfg, out_dir):
 def cmd_bussgang(cfg, out_dir):
     """Bussgang gain of the fixed quantizer on synthetic Gaussian losses."""
     bg = cfg.get("bussgang", {})
-    q_list = [int(q) for q in bg.get("q_bits", [1, 2, 3, 4, 5, 6, 8])]
-    loss_mean = float(bg.get("loss_mean", 0.5))
-    loss_std = float(bg.get("loss_std", 1.0 / math.sqrt(8.0 * math.pi)))
-    num_samples = int(bg.get("num_samples", 1_000_000))
+    q_list = [_coerce(int, q, "bussgang", "q_bits") for q in bg.get("q_bits", [1, 2, 3, 4, 5, 6, 8])]
+    loss_mean = _coerce(float, bg.get("loss_mean", 0.5), "bussgang", "loss_mean")
+    loss_std = _coerce(float, bg.get("loss_std", 1.0 / math.sqrt(8.0 * math.pi)), "bussgang", "loss_std")
+    num_samples = _coerce(int, bg.get("num_samples", 1_000_000), "bussgang", "num_samples")
     rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY, 2)
     losses = rng.normal(loss_mean, loss_std, size=num_samples)
     path = os.path.join(out_dir, "bussgang.csv")

@@ -22,10 +22,9 @@ from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
     bussgang_gain,
-    indices_to_bits,
-    bits_to_indices,
-    level_indices,
+    dequantize,
     preprocess,
+    quantize,
     quantize_value,
 )
 from .transceiver import (
@@ -33,11 +32,23 @@ from .transceiver import (
     constellation_jacobian,
     cross_entropy_losses,
     exploration_variance,
+    perturb,
     real_to_complex,
     receive,
+    score_upstream,
 )
 
 DEFAULT_CHUNK = 65_536
+
+
+def _chunks(total, chunk=DEFAULT_CHUNK):
+    """Consecutive slices of at most chunk items that cover range(total).
+
+    Every Monte Carlo loop walks these, so each chunk draws from its
+    generator in the same order whatever the loop computes.
+    """
+    for start in range(0, total, chunk):
+        yield slice(start, min(start + chunk, total))
 
 
 def binomial_stderr(p_hat, n):
@@ -54,36 +65,27 @@ class SerResult:
     snr_db: float
 
 
-def estimate_ser(tx, rx, channel_cfg, num_messages, num_symbols, rng, chunk=DEFAULT_CHUNK):
+def estimate_ser(tx, rx, channel_cfg, num_messages, num_symbols, rng):
     """Symbol error rate of the frozen transceiver over the channel.
 
     Messages are uniform, the transmitter is unperturbed, and the symbols
     come from the constellation normalized to the channel's power setting,
     so sweeping power re-normalizes the constellation to each operating
-    point. Decisions are the receiver argmax (lowest index wins ties).
+    point. Decisions are the receiver argmax (see ReceiverDetector).
     """
-    if num_symbols < 1:
-        raise ValueError("num_symbols must be >= 1")
-    points = constellation(tx, num_messages, channel_cfg.P_mw)
-    errors = 0
-    done = 0
-    while done < num_symbols:
-        n = min(chunk, num_symbols - done)
-        messages = rng.integers(0, num_messages, size=n)
-        received = propagate(real_to_complex(points[messages]), channel_cfg, rng)
-        probs, _ = receive(rx, received)
-        decisions = np.argmax(probs, axis=1)
-        errors += int(np.count_nonzero(decisions != messages))
-        done += n
-    ser = errors / num_symbols
-    return SerResult(
-        ser=ser,
-        stderr=binomial_stderr(ser, num_symbols),
-        num_symbols=num_symbols,
-        num_errors=errors,
-        p_dbm=channel_cfg.P_dbm,
-        snr_db=channel_cfg.snr_db,
-    )
+    points = real_to_complex(constellation(tx, num_messages, channel_cfg.P_mw))
+    return detector_ser(points, ReceiverDetector(rx), channel_cfg, num_symbols, rng)
+
+
+class ReceiverDetector:
+    """The learned receiver's decisions: argmax of its output (lowest index wins ties)."""
+
+    def __init__(self, rx):
+        self.rx = rx
+
+    def decide(self, y):
+        probs, _ = receive(self.rx, y)
+        return np.argmax(probs, axis=1)
 
 
 class ExactAwgnDetector:
@@ -138,24 +140,17 @@ class SampledNlpnDetector:
         return np.argmax(self.log_density[:, i, j], axis=0)
 
 
-def ml_detector(y, detector):
-    """Message decisions for received symbols under the given likelihood model."""
-    return detector.decide(y)
-
-
-def detector_ser(points, detector, channel_cfg, num_symbols, rng, chunk=DEFAULT_CHUNK):
-    """Monte Carlo SER of an ML-detector baseline over the channel."""
+def detector_ser(points, detector, channel_cfg, num_symbols, rng):
+    """Monte Carlo SER of a detector over the channel, for uniform messages
+    sent as the given complex points."""
+    if num_symbols < 1:
+        raise ValueError("num_symbols must be >= 1")
     points = np.asarray(points, dtype=np.complex128)
-    num_points = points.size
     errors = 0
-    done = 0
-    while done < num_symbols:
-        n = min(chunk, num_symbols - done)
-        messages = rng.integers(0, num_points, size=n)
+    for sl in _chunks(num_symbols):
+        messages = rng.integers(0, points.size, size=sl.stop - sl.start)
         y = propagate(points[messages], channel_cfg, rng)
-        decisions = detector.decide(y)
-        errors += int(np.count_nonzero(decisions != messages))
-        done += n
+        errors += int(np.count_nonzero(detector.decide(y) != messages))
     ser = errors / num_symbols
     return SerResult(
         ser=ser,
@@ -208,15 +203,17 @@ def decision_regions(rx, bounds, resolution):
     axis = np.linspace(lo, hi, resolution)
     re_grid, im_grid = np.meshgrid(axis, axis, indexing="xy")
     flat = np.stack([re_grid.ravel(), im_grid.ravel()], axis=-1)
-    probs, _ = receive(rx, flat)
-    labels = np.argmax(probs, axis=1).reshape(resolution, resolution)
+    labels = ReceiverDetector(rx).decide(flat).reshape(resolution, resolution)
     return DecisionGrid(re=axis, im=axis.copy(), labels=labels)
 
 
-def export_decision_regions_csv(path, grid):
-    """Write grid decisions as re,im,message rows (message 1-based)."""
+def export_decision_regions_csv(path, grid, comments=()):
+    """Write grid decisions as re,im,message rows (message 1-based); comment
+    lines (leading '#') go directly under the header."""
     with open(path, "w") as fh:
         fh.write("re,im,message\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
         for i, im in enumerate(grid.im):
             for j, re in enumerate(grid.re):
                 fh.write(f"{float(re)!r},{float(im)!r},{grid.labels[i, j] + 1}\n")
@@ -252,14 +249,22 @@ class ScoreSampleSet:
         return self.jac.shape[2]
 
     def score_norms_sq(self, sl=slice(None)):
-        """||s_k||^2 for a slice of samples, via the 2x2 Gram blocks of jac."""
-        gram = np.einsum("mcp,mdp->mcd", self.jac, self.jac)  # (M, 2, 2)
-        u = 2.0 * self.perturbations[sl] / self.sigma_p_sq
-        g = gram[self.messages[sl]]
-        return np.einsum("kc,kcd,kd->k", u, g, u)
+        """||s_k||^2 for a slice of samples."""
+        u = score_upstream(self.perturbations[sl], self.sigma_p_sq)
+        return _score_norms_sq(_gram_blocks(self.jac), self.messages[sl], u)
 
 
-def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng, chunk=DEFAULT_CHUNK):
+def _gram_blocks(jac):
+    """The 2x2 Gram block J[m] J[m]^T of every message, shape (M, 2, 2)."""
+    return np.einsum("mcp,mdp->mcd", jac, jac)
+
+
+def _score_norms_sq(gram, messages, u):
+    """||J[m_k]^T u_k||^2 = u_k^T G[m_k] u_k from the Gram blocks G."""
+    return np.einsum("kc,kcd,kd->k", u, gram[messages], u)
+
+
+def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
     """Sample the exploration policy on a frozen transceiver.
 
     Uniform messages, constellation symbols, Gaussian perturbation with the
@@ -270,19 +275,12 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng, c
     messages = np.empty(num_samples, dtype=np.int64)
     perturbations = np.empty((num_samples, 2))
     raw_losses = np.empty(num_samples)
-    done = 0
-    while done < num_samples:
-        n = min(chunk, num_samples - done)
-        m = rng.integers(0, num_messages, size=n)
-        w = rng.normal(0.0, math.sqrt(sigma_p_sq / 2.0), size=(n, 2))
-        perturbed = points[m] + w
-        received = propagate(real_to_complex(perturbed), channel_cfg, rng)
-        probs, _ = receive(rx, received)
-        sl = slice(done, done + n)
+    for sl in _chunks(num_samples):
+        m = rng.integers(0, num_messages, size=sl.stop - sl.start)
+        perturbed, perturbations[sl] = perturb(points[m], sigma_p_sq, rng)
+        probs, _ = receive(rx, propagate(real_to_complex(perturbed), channel_cfg, rng))
         messages[sl] = m
-        perturbations[sl] = w
         raw_losses[sl] = cross_entropy_losses(probs, m)
-        done += n
     return ScoreSampleSet(
         messages=messages,
         perturbations=perturbations,
@@ -345,13 +343,11 @@ def score_moments(sample_set, weights, chunk=DEFAULT_CHUNK):
         for b in range(a, len(names)):
             acc_gram[_pair_key(names[a], names[b])] = 0.0
             acc_fourth[_pair_key(names[a], names[b])] = 0.0
-    gram_blocks = np.einsum("mcp,mdp->mcd", sample_set.jac, sample_set.jac)
-    done = 0
-    while done < n:
-        sl = slice(done, min(done + chunk, n))
+    gram = _gram_blocks(sample_set.jac)
+    for sl in _chunks(n, chunk):
         m = sample_set.messages[sl]
-        u = 2.0 * sample_set.perturbations[sl] / sample_set.sigma_p_sq
-        norms_sq = np.einsum("kc,kcd,kd->k", u, gram_blocks[m], u)
+        u = score_upstream(sample_set.perturbations[sl], sample_set.sigma_p_sq)
+        norms_sq = _score_norms_sq(gram, m, u)
         for name in names:
             wv = weights[name][sl]
             np.add.at(acc_u[name], m, wv[:, None] * u)
@@ -361,7 +357,6 @@ def score_moments(sample_set, weights, chunk=DEFAULT_CHUNK):
                 prod = weights[names[a]][sl] * weights[names[b]][sl] * norms_sq
                 acc_gram[key] += float(prod.sum())
                 acc_fourth[key] += float((prod * prod).sum())
-        done = sl.stop
     means = {}
     for name in names:
         means[name] = np.einsum("mc,mcp->p", acc_u[name], sample_set.jac) / n
@@ -386,26 +381,23 @@ def fisher_trace_exact(jac, sigma_p_sq):
     return float(2.0 / sigma_p_sq * np.einsum("mcp,mcp->", jac, jac) / jac.shape[0])
 
 
-def fisher_trace_sampled(jac, sigma_p_sq, num_samples, rng, chunk=DEFAULT_CHUNK):
+def fisher_trace_sampled(jac, sigma_p_sq, num_samples, rng):
     """Monte Carlo E||score||^2 over uniform messages and fresh policy draws.
 
     Returns (estimate, stderr).
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    num_messages = jac.shape[0]
-    gram_blocks = np.einsum("mcp,mdp->mcd", jac, jac)
+    gram = _gram_blocks(jac)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < num_samples:
-        n = min(chunk, num_samples - done)
-        m = rng.integers(0, num_messages, size=n)
+    for sl in _chunks(num_samples):
+        n = sl.stop - sl.start
+        m = rng.integers(0, jac.shape[0], size=n)
         u = rng.normal(0.0, math.sqrt(2.0 / sigma_p_sq), size=(n, 2))
-        norms_sq = np.einsum("kc,kcd,kd->k", u, gram_blocks[m], u)
+        norms_sq = _score_norms_sq(gram, m, u)
         total += float(norms_sq.sum())
         total_sq += float((norms_sq**2).sum())
-        done += n
     mean = total / num_samples
     var = max(total_sq / num_samples - mean * mean, 0.0)
     return mean, math.sqrt(var / num_samples)
@@ -441,31 +433,6 @@ class ScalingReport:
     w_bar: float | None = None
 
 
-def _cosine(a, b):
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
-def _mean_gap(moments, weights, name_test, name_ref, scale, mu_test, mu_ref):
-    """Norm of centered mean(test) - scale*mean(ref) and its Monte Carlo sigma.
-
-    The per-sample difference d_k = (a_k - scale*b_k - c) s_k, with c the
-    matching combination of weight averages, has second moment E||d||^2
-    expressible through the gram table; the norm of its mean then carries
-    sigma ~ sqrt(E||d||^2 / N) (mean-squared term negligible at the scales
-    tested).
-    """
-    gap = mu_test - scale * mu_ref
-    offset = float(weights[name_test].mean()) - scale * float(weights[name_ref].mean())
-    coeffs = {name_test: 1.0, name_ref: -scale, "ones": -offset}
-    second = moments.gram_bilinear(coeffs, coeffs)
-    se = math.sqrt(max(second, 0.0) / moments.num_samples)
-    return float(np.linalg.norm(gap)), se
-
-
 def _variance_of(moments, name, mean):
     """V{a_k s_k} summed over coordinates, with a standard error.
 
@@ -494,6 +461,58 @@ def _centered_mean(moments, weights, name):
     return moments.means[name] - float(weights[name].mean()) * moments.means["ones"]
 
 
+def _preprocessed_losses(sample_set, clip_fraction):
+    """The pooled raw losses pre-processed to [0, 1] as in training."""
+    pre, stats = preprocess(sample_set.raw_losses, clip_fraction)
+    if stats.degenerate:
+        raise ValueError("degenerate loss batch: zero range after clipping")
+    return pre
+
+
+def _fisher_trace(moments):
+    """Same-sample estimate of tr(J) = E||s||^2, with its standard error."""
+    return moments.gram[_pair_key("ones", "ones")], moments.gram_se("ones", "ones")
+
+
+def _scaling_report(label, target, moments, weights, test, ref, variance, **extra):
+    """ScalingReport for the claim mean(test) = target * mean(ref).
+
+    test and ref are (weight name, centered mean) pairs and variance is
+    (var_test, var_bound, var_slack_se). The fitted scale is the
+    least-squares factor of mean(test) on mean(ref). The mean gap's
+    per-sample difference d_k = (a_k - target*b_k - c) s_k, with c the
+    matching combination of weight averages, has second moment E||d||^2
+    expressible through the gram table; the norm of its mean then carries
+    sigma ~ sqrt(E||d||^2 / N) (mean-squared term negligible at the scales
+    tested).
+    """
+    (name_test, mu_test), (name_ref, mu_ref) = test, ref
+    offset = float(weights[name_test].mean()) - target * float(weights[name_ref].mean())
+    coeffs = {name_test: 1.0, name_ref: -target, "ones": -offset}
+    gap_second = moments.gram_bilinear(coeffs, coeffs)
+    norm_test = float(np.linalg.norm(mu_test))
+    norm_ref = float(np.linalg.norm(mu_ref))
+    dot = float(mu_test @ mu_ref)
+    var_test, var_bound, var_slack_se = variance
+    return ScalingReport(
+        label=label,
+        scale_target=target,
+        fitted_scale=dot / norm_ref**2 if norm_ref else 0.0,
+        cosine=dot / (norm_test * norm_ref) if norm_test and norm_ref else 0.0,
+        magnitude_ratio=norm_test / norm_ref if norm_ref else 0.0,
+        mean_gap_norm=float(np.linalg.norm(mu_test - target * mu_ref)),
+        mean_gap_se=math.sqrt(max(gap_second, 0.0) / moments.num_samples),
+        grad_ref=mu_ref,
+        grad_test=mu_test,
+        var_test=var_test,
+        var_bound=var_bound,
+        var_slack_se=var_slack_se,
+        fisher_trace=_fisher_trace(moments)[0],
+        num_samples=moments.num_samples,
+        **extra,
+    )
+
+
 def verify_quantized_gradient_scaling(
     sample_set, q_bits_list=(1, 3, 5), clip_fraction=DEFAULT_CLIP_FRACTION
 ):
@@ -508,9 +527,7 @@ def verify_quantized_gradient_scaling(
 
     Returns {q_bits: ScalingReport}.
     """
-    pre, stats = preprocess(sample_set.raw_losses, clip_fraction)
-    if stats.degenerate:
-        raise ValueError("degenerate loss batch: zero range after clipping")
+    pre = _preprocessed_losses(sample_set, clip_fraction)
     weights = {"ones": np.ones_like(pre), "perfect": pre}
     estimates = {}
     for q in q_bits_list:
@@ -518,8 +535,7 @@ def verify_quantized_gradient_scaling(
         weights[f"q{q}"] = quantize_value(pre, cfg)
         estimates[q] = bussgang_gain(pre, cfg)
     moments = score_moments(sample_set, weights)
-    fisher = moments.gram[_pair_key("ones", "ones")]
-    fisher_se = moments.gram_se("ones", "ones")
+    fisher, fisher_se = _fisher_trace(moments)
     mu_ref = _centered_mean(moments, weights, "perfect")
     var_ref, var_ref_se = _variance_of(moments, "perfect", mu_ref)
     reports = {}
@@ -527,29 +543,13 @@ def verify_quantized_gradient_scaling(
         est = estimates[q]
         name = f"q{q}"
         mu_q = _centered_mean(moments, weights, name)
-        gap, gap_se = _mean_gap(moments, weights, name, "perfect", est.g, mu_q, mu_ref)
         var_q, var_q_se = _variance_of(moments, name, mu_q)
         coeff = est.g * est.w_bar + est.w_bar**2
         bound = est.g**2 * var_ref + coeff * fisher
         slack_se = math.sqrt(var_q_se**2 + (est.g**2 * var_ref_se) ** 2 + (coeff * fisher_se) ** 2)
-        ratio_den = float(np.linalg.norm(mu_ref))
-        reports[q] = ScalingReport(
-            label=f"quantized_{q}bit",
-            scale_target=est.g,
-            fitted_scale=float(mu_q @ mu_ref) / ratio_den**2 if ratio_den else 0.0,
-            cosine=_cosine(mu_q, mu_ref),
-            magnitude_ratio=float(np.linalg.norm(mu_q)) / ratio_den if ratio_den else 0.0,
-            mean_gap_norm=gap,
-            mean_gap_se=gap_se,
-            grad_ref=mu_ref,
-            grad_test=mu_q,
-            var_test=var_q,
-            var_bound=bound,
-            var_slack_se=slack_se,
-            fisher_trace=fisher,
-            num_samples=moments.num_samples,
-            g_hat=est.g,
-            w_bar=est.w_bar,
+        reports[q] = _scaling_report(
+            f"quantized_{q}bit", est.g, moments, weights, (name, mu_q), ("perfect", mu_ref),
+            (var_q, bound, slack_se), g_hat=est.g, w_bar=est.w_bar,
         )
     return reports
 
@@ -588,28 +588,21 @@ def verify_bitflip_gradient_scaling(
             )
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
-    pre, stats = preprocess(sample_set.raw_losses, clip_fraction)
-    if stats.degenerate:
-        raise ValueError("degenerate loss batch: zero range after clipping")
+    pre = _preprocessed_losses(sample_set, clip_fraction)
     weights = {"ones": np.ones_like(pre)}
     for q in q_bits_list:
         cfg = QuantizerConfig(q)
-        idx = level_indices(pre, cfg)
-        bits = indices_to_bits(idx, cfg)
-        weights[f"q{q}"] = cfg.delta / 2.0 + cfg.delta * idx
+        weights[f"q{q}"], bits = quantize(pre, cfg)
         for p in flip_probs:
             acc = np.zeros_like(pre)
             for draw in range(flip_draws):
-                flips = rng.random(bits.shape) < p
-                noisy = bits_to_indices(bits ^ flips, cfg)
-                dequant = cfg.delta / 2.0 + cfg.delta * noisy
+                dequant = dequantize(bits ^ (rng.random(bits.shape) < p), cfg)
                 if draw == 0 and q == 1:
                     weights[f"ev_q{q}_p{p}"] = dequant
                 acc += dequant
             weights[f"e_q{q}_p{p}"] = acc / flip_draws
     moments = score_moments(sample_set, weights)
-    fisher = moments.gram[_pair_key("ones", "ones")]
-    fisher_se = moments.gram_se("ones", "ones")
+    fisher, fisher_se = _fisher_trace(moments)
     reports = {}
     for q in q_bits_list:
         name_q = f"q{q}"
@@ -618,9 +611,6 @@ def verify_bitflip_gradient_scaling(
         var_q, var_q_se = _variance_of(moments, name_q, mu_q)
         for p in flip_probs:
             name_e = f"e_q{q}_p{p}"
-            mu_e = _centered_mean(moments, weights, name_e)
-            target = 1.0 - 2.0 * p
-            gap, gap_se = _mean_gap(moments, weights, name_e, name_q, target, mu_e, mu_q)
             if q == 1:
                 name_ev = f"ev_q{q}_p{p}"
                 var_e, var_e_se = _variance_of(
@@ -630,21 +620,10 @@ def verify_bitflip_gradient_scaling(
                 slack_se = math.sqrt(var_e_se**2 + var_q_se**2 + (p * fisher_se) ** 2)
             else:
                 var_e, bound, slack_se = math.nan, math.nan, math.nan
-            reports[(q, p)] = ScalingReport(
-                label=f"bitflip_q{q}_p{p}",
-                scale_target=target,
-                fitted_scale=float(mu_e @ mu_q) / norm_q**2 if norm_q else 0.0,
-                cosine=_cosine(mu_e, mu_q),
-                magnitude_ratio=float(np.linalg.norm(mu_e)) / norm_q if norm_q else 0.0,
-                mean_gap_norm=gap,
-                mean_gap_se=gap_se,
-                grad_ref=mu_q,
-                grad_test=mu_e,
-                var_test=var_e,
-                var_bound=bound,
-                var_slack_se=slack_se,
-                fisher_trace=fisher,
-                num_samples=moments.num_samples,
+            mu_e = _centered_mean(moments, weights, name_e)
+            reports[(q, p)] = _scaling_report(
+                f"bitflip_q{q}_p{p}", 1.0 - 2.0 * p, moments, weights, (name_e, mu_e), (name_q, mu_q),
+                (var_e, bound, slack_se),
             )
     return reports
 

@@ -42,9 +42,13 @@ class QuantizerConfig:
     def delta(self):
         return self.l_bar / self.num_levels
 
+    def reconstruct(self, indices):
+        """Mid-cell reconstruction value delta/2 + m*delta of level index m."""
+        return self.delta / 2.0 + self.delta * indices
+
     def levels(self):
-        """All reconstruction values: delta/2 + m*delta, m = 0..2^q - 1."""
-        return self.delta / 2.0 + self.delta * np.arange(self.num_levels)
+        """All reconstruction values, m = 0..2^q - 1."""
+        return self.reconstruct(np.arange(self.num_levels))
 
 
 @dataclass
@@ -115,8 +119,8 @@ def level_indices(l, cfg):
 
 
 def quantize_value(l, cfg):
-    """Reconstruction value delta/2 + m*delta for the (clamped) cell of l."""
-    return cfg.delta / 2.0 + cfg.delta * level_indices(l, cfg)
+    """Reconstruction value of the (clamped) cell of l."""
+    return cfg.reconstruct(level_indices(l, cfg))
 
 
 def indices_to_bits(indices, cfg):
@@ -140,13 +144,12 @@ def quantize(l, cfg):
     if np.any(arr < 0.0) or np.any(arr > cfg.l_bar):
         raise ValueError(f"loss outside [0, {cfg.l_bar}]")
     idx = level_indices(arr, cfg)
-    return cfg.delta / 2.0 + cfg.delta * idx, indices_to_bits(idx, cfg)
+    return cfg.reconstruct(idx), indices_to_bits(idx, cfg)
 
 
 def dequantize(bits, cfg):
     """Mid-cell reconstruction of the level the bit vector encodes."""
-    idx = bits_to_indices(bits, cfg)
-    return cfg.delta / 2.0 + cfg.delta * idx
+    return cfg.reconstruct(bits_to_indices(bits, cfg))
 
 
 def feedback_roundtrip(raw, qcfg, bsc_cfg=None, rng=None, clip_fraction=DEFAULT_CLIP_FRACTION):

@@ -121,16 +121,68 @@ def test_clip_fraction_out_of_range_rejected_before_training(tmp_path, capsys, c
     assert not (out / "metrics.csv").exists()
 
 
+# The command that reads each section, and a valid section to start from.
+SECTION_COMMANDS = {
+    "channel": ("train", None),
+    "training": ("train", None),
+    "quantizer": ("train", {"q_bits": 1}),
+    "sweep": ("ser-sweep", {"parameter": "snr_db", "values": [15.0], "num_symbols": 1000}),
+    "verify": ("verify", {"num_samples": 1000}),
+    "grid": ("decision-regions", {"bounds": [-1.0, 1.0], "resolution": 5}),
+    "bussgang": ("bussgang", {"num_samples": 1000}),
+}
+
+
 @pytest.mark.parametrize(
-    "section, key", [("channel", "P_dbm"), ("channel", "K"), ("training", "num_iterations"), ("training", "lr_tx")]
+    "section, key",
+    [
+        ("channel", "P_dbm"),
+        ("channel", "K"),
+        ("training", "num_iterations"),
+        ("training", "lr_tx"),
+        ("quantizer", "q_bits"),
+        ("sweep", "num_symbols"),
+        ("verify", "num_samples"),
+        ("verify", "snapshot_iter"),
+        ("grid", "resolution"),
+        ("bussgang", "num_samples"),
+    ],
 )
 def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, key):
     out = tmp_path / "out"
+    command, body = SECTION_COMMANDS[section]
     cfg = base_config(out)
+    if body is not None:
+        cfg[section] = dict(body)
     cfg[section][key] = float("-inf")
-    assert main(["train", write_config(tmp_path, cfg)]) == 2
+    assert main([command, write_config(tmp_path, cfg)]) == 2
     assert f"invalid {section} config" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not any(out.iterdir())  # rejected before any artifact is written
+
+
+@pytest.mark.parametrize(
+    "section, body, message",
+    [
+        ("quantizer", {"q_bits": 0}, "q_bits must be >= 1"),
+        ("bsc", {"flip_prob": 0.7}, "flip_prob must lie in [0, 0.5]"),
+    ],
+)
+def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, message):
+    out = tmp_path / "out"
+    cfg = base_config(out, quantizer={"q_bits": 1})
+    cfg[section] = body
+    assert main(["train", write_config(tmp_path, cfg)]) == 2
+    assert f"invalid {section} config: {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("parameter", ["snr_db", "p_dbm"])
+def test_sweep_point_with_non_finite_power_exits_2(tmp_path, capsys, parameter):
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"parameter": parameter, "values": [15.0, float("-inf")], "num_symbols": 1000})
+    assert main(["ser-sweep", write_config(tmp_path, cfg)]) == 2
+    assert "invalid sweep config" in capsys.readouterr().err
+    assert not any(out.iterdir())  # rejected before any point is trained
 
 
 def test_noiseless_minus_infinity_config_still_loads_and_trains(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from qflearn.channels import AWGN, NLPN, ChannelConfig
 from qflearn.evaluation import (
     ExactAwgnDetector,
+    ReceiverDetector,
     SampledNlpnDetector,
     binomial_stderr,
     collect_score_samples,
@@ -18,7 +19,6 @@ from qflearn.evaluation import (
     export_decision_regions_csv,
     fisher_trace_exact,
     fisher_trace_sampled,
-    ml_detector,
     qam16,
     qam16_ser_closed_form,
     score_coordinate_std,
@@ -28,7 +28,7 @@ from qflearn.evaluation import (
 )
 from qflearn.neuralnet import LINEAR, SOFTMAX, DenseLayer, DenseNetwork
 from qflearn.training import MetricsRecord, PHASE_RX, PHASE_TX
-from qflearn.transceiver import build_receiver, build_transmitter
+from qflearn.transceiver import build_receiver, build_transmitter, constellation, real_to_complex
 
 CHANNEL = ChannelConfig(family=AWGN, sigma_sq_dbm=-21.3, P_dbm=-6.3)
 
@@ -60,6 +60,25 @@ def test_estimate_ser_validates_symbol_count():
         estimate_ser(tx, rx, CHANNEL, 16, 0, np.random.default_rng(3))
 
 
+def test_detector_ser_validates_symbol_count():
+    points = qam16(CHANNEL.P_mw)
+    with pytest.raises(ValueError):
+        detector_ser(points, ExactAwgnDetector(points), CHANNEL, 0, np.random.default_rng(3))
+
+
+def test_estimate_ser_is_detector_ser_with_the_receiver():
+    """The transceiver SER is the detector SER of its constellation under the
+    receiver's argmax, draw for draw, across a chunk boundary."""
+    tx = build_transmitter(16, np.random.default_rng(1))
+    rx = build_receiver(16, np.random.default_rng(2))
+    points = real_to_complex(constellation(tx, 16, CHANNEL.P_mw))
+    n = 70_001
+    got = estimate_ser(tx, rx, CHANNEL, 16, n, np.random.default_rng(3))
+    expect = detector_ser(points, ReceiverDetector(rx), CHANNEL, n, np.random.default_rng(3))
+    assert got == expect
+    assert 0 < got.num_errors < n
+
+
 def test_qam16_power_and_geometry():
     points = qam16(0.2344)
     assert points.shape == (16,)
@@ -84,7 +103,7 @@ def test_exact_awgn_detector_is_nearest_point():
     points = rng.normal(size=8) + 1j * rng.normal(size=8)
     det = ExactAwgnDetector(points)
     y = rng.normal(size=50) + 1j * rng.normal(size=50)
-    got = ml_detector(y, det)
+    got = det.decide(y)
     for k in range(50):
         expect = int(np.argmin(np.abs(y[k] - points) ** 2))
         assert got[k] == expect
@@ -153,6 +172,10 @@ def test_export_decision_regions_csv(tmp_path):
     # labels are 1-based in the artifact
     assert lines[1] == "-1.0,-1.0,2"
     assert lines[2] == "1.0,-1.0,1"
+    # comment lines go directly under the header, the rows are unchanged
+    export_decision_regions_csv(str(path), grid, comments=("a=1", "b"))
+    commented = path.read_text().strip().split("\n")
+    assert commented == [lines[0], "# a=1", "# b", *lines[1:]]
 
 
 # ---------------------------------------------------------------------------
