@@ -69,19 +69,43 @@ def awgn(x, cfg, rng):
     return x + complex_gaussian(x.shape, cfg.sigma_sq_mw, rng)
 
 
+# Most normals one nlpn noise draw may hold (64 KB). A batch of 64 draws all
+# K = 50 steps at once; the 10^4-symbol SER estimate inside training and
+# larger inputs draw one step at a time, so their peak memory stays as it was.
+_NLPN_DRAW_NORMALS = 2**13
+
+
+def _step_noise(steps, shape, variance, rng):
+    """Noise of `steps` consecutive nlpn steps, shape (steps,) + shape.
+
+    One (steps, 2) + shape draw consumes the generator in the per-step order
+    (real then imaginary part of step 1, then step 2, ...), so the values do
+    not depend on how the K steps are split into blocks.
+    """
+    if variance == 0.0:
+        return np.zeros((steps,) + shape, dtype=np.complex128)
+    z = rng.normal(0.0, np.sqrt(variance / 2.0), (steps, 2) + shape)
+    return z[:, 0] + 1j * z[:, 1]
+
+
 def nlpn(x, cfg, rng):
     """K-step phase-rotation recursion with per-step noise variance sigma^2/K.
 
     Each step rotates by L*gamma*|x|^2/K with |x|^2 converted from mW to W
-    (gamma is per W), then adds the step noise.
+    (gamma is per W), then adds the step noise. The noise is drawn in blocks
+    of steps, never of samples, so every output bit and the generator state
+    match a draw per step.
     """
     x = np.asarray(x, dtype=np.complex128)
     step_var = cfg.sigma_sq_mw / cfg.K
     phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K  # rad per mW
+    block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
     out = x.copy()
-    for _ in range(cfg.K):
+    for k in range(cfg.K):
         out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
-        out = out + complex_gaussian(out.shape, step_var, rng)
+        if k % block == 0:
+            noise = _step_noise(min(block, cfg.K - k), x.shape, step_var, rng)
+        out = out + noise[k % block]
     return out
 
 

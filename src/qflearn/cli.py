@@ -110,6 +110,14 @@ def _build(cls, section_cfg, section, **extra):
         raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
+def _count(section_cfg, key, default, section):
+    """A positive integer config entry (a sample or symbol count)."""
+    value = _coerce(int, section_cfg.get(key, default), section, key)
+    if value < 1:
+        raise ConfigError(f"invalid {section} config: {key} must be >= 1")
+    return value
+
+
 def _reject_non_finite(literal):
     # -Infinity stays legal: it is how a config asks for a noiseless channel.
     if literal != "-Infinity":
@@ -227,9 +235,9 @@ def cmd_ser_sweep(cfg, out_dir):
     values = _require(sweep, "values", "sweep")
     if not values:
         raise ConfigError("sweep values must be nonempty")
-    num_symbols = _coerce(int, sweep.get("num_symbols", 100_000), "sweep", "num_symbols")
+    num_symbols = _count(sweep, "num_symbols", 100_000, "sweep")
     include_ml = bool(sweep.get("include_qam16_ml", False))
-    ml_draws = _coerce(int, sweep.get("ml_draws_per_point", 100_000), "sweep", "ml_draws_per_point")
+    ml_draws = _count(sweep, "ml_draws_per_point", 100_000, "sweep")
     channel = build_channel(cfg)
     training = build_training(cfg)
     mode = feedback_mode_label(training)
@@ -343,10 +351,15 @@ def _report_entry(report, extra):
 
 def cmd_verify(cfg, out_dir):
     vf = cfg.get("verify", {})
-    num_samples = _coerce(int, vf.get("num_samples", 1_000_000), "verify", "num_samples")
-    quantized_bits = [_coerce(int, q, "verify", "quantized_bits") for q in vf.get("quantized_bits", [1, 3, 5])]
+    num_samples = _count(vf, "num_samples", 1_000_000, "verify")
+    # Each q and p goes through its dataclass here, so a bad one fails before training.
+    quantized_bits = [
+        _build(QuantizerConfig, {"q_bits": q}, "verify").q_bits for q in vf.get("quantized_bits", [1, 3, 5])
+    ]
     bitflip_bits = [_coerce(int, q, "verify", "bitflip_bits") for q in vf.get("bitflip_bits", [1, 2])]
-    flip_probs = [_coerce(float, p, "verify", "flip_probs") for p in vf.get("flip_probs", [0.1, 0.2, 0.3])]
+    flip_probs = [
+        _build(BscConfig, {"flip_prob": p}, "verify").flip_prob for p in vf.get("flip_probs", [0.1, 0.2, 0.3])
+    ]
     bad = [q for q in bitflip_bits if q not in (1, 2)]
     if bad:
         raise ConfigError(
@@ -433,10 +446,12 @@ def cmd_verify(cfg, out_dir):
 def cmd_bussgang(cfg, out_dir):
     """Bussgang gain of the fixed quantizer on synthetic Gaussian losses."""
     bg = cfg.get("bussgang", {})
-    q_list = [_coerce(int, q, "bussgang", "q_bits") for q in bg.get("q_bits", [1, 2, 3, 4, 5, 6, 8])]
+    quantizers = [
+        _build(QuantizerConfig, {"q_bits": q}, "bussgang") for q in bg.get("q_bits", [1, 2, 3, 4, 5, 6, 8])
+    ]
     loss_mean = _coerce(float, bg.get("loss_mean", 0.5), "bussgang", "loss_mean")
     loss_std = _coerce(float, bg.get("loss_std", 1.0 / math.sqrt(8.0 * math.pi)), "bussgang", "loss_std")
-    num_samples = _coerce(int, bg.get("num_samples", 1_000_000), "bussgang", "num_samples")
+    num_samples = _count(bg, "num_samples", 1_000_000, "bussgang")
     rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY, 2)
     losses = rng.normal(loss_mean, loss_std, size=num_samples)
     path = os.path.join(out_dir, "bussgang.csv")
@@ -444,13 +459,13 @@ def cmd_bussgang(cfg, out_dir):
         fh.write("q_bits,g_hat,w_bar,w_mean,w_var,gaussian_one_bit_gain\n")
         for line in _comment_lines(cfg):
             fh.write(f"# {line}\n")
-        for q in q_list:
-            est = bussgang_gain(losses, QuantizerConfig(q))
-            closed_cell = repr(gaussian_one_bit_gain(loss_std**2)) if q == 1 else ""
+        for qcfg in quantizers:
+            est = bussgang_gain(losses, qcfg)
+            closed_cell = repr(gaussian_one_bit_gain(loss_std**2)) if qcfg.q_bits == 1 else ""
             fh.write(
-                f"{q},{est.g!r},{est.w_bar!r},{est.w_mean!r},{est.w_var!r},{closed_cell}\n"
+                f"{qcfg.q_bits},{est.g!r},{est.w_bar!r},{est.w_mean!r},{est.w_var!r},{closed_cell}\n"
             )
-    print(f"wrote {len(q_list)} rows to {path}")
+    print(f"wrote {len(quantizers)} rows to {path}")
     return 0
 
 

@@ -344,13 +344,18 @@ def score_moments(sample_set, weights, chunk=DEFAULT_CHUNK):
             acc_gram[_pair_key(names[a], names[b])] = 0.0
             acc_fourth[_pair_key(names[a], names[b])] = 0.0
     gram = _gram_blocks(sample_set.jac)
+    acc_bins = np.arange(2 * num_messages)
     for sl in _chunks(n, chunk):
         m = sample_set.messages[sl]
         u = score_upstream(sample_set.perturbations[sl], sample_set.sigma_p_sq)
         norms_sq = _score_norms_sq(gram, m, u)
+        # One bincount adds the accumulator and then each sample's row in
+        # sample order, the same sums in the same order as np.add.at.
+        bins = np.concatenate([acc_bins, (2 * m[:, None] + np.arange(2)).ravel()])
         for name in names:
             wv = weights[name][sl]
-            np.add.at(acc_u[name], m, wv[:, None] * u)
+            values = np.concatenate([acc_u[name].ravel(), (wv[:, None] * u).ravel()])
+            acc_u[name] = np.bincount(bins, values, 2 * num_messages).reshape(num_messages, 2)
         for a in range(len(names)):
             for b in range(a, len(names)):
                 key = _pair_key(names[a], names[b])

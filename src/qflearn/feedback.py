@@ -131,11 +131,17 @@ def indices_to_bits(indices, cfg):
 
 
 def bits_to_indices(bits, cfg):
-    bits = np.asarray(bits, dtype=np.int64)
+    """Level indices of MSB-first bit vectors (bool or integer), shape (...)."""
+    bits = np.asarray(bits)
+    if not np.can_cast(bits.dtype, np.int64):  # uint64 or float bits cannot be OR-ed into int64
+        bits = bits.astype(np.int64)
     if bits.shape[-1] != cfg.q_bits:
         raise ValueError(f"expected {cfg.q_bits} bits per value, got {bits.shape[-1]}")
-    weights = 1 << np.arange(cfg.q_bits - 1, -1, -1)
-    return (bits * weights).sum(axis=-1)
+    indices = bits[..., 0].astype(np.int64)
+    for j in range(1, cfg.q_bits):
+        indices <<= 1
+        indices |= bits[..., j]
+    return indices
 
 
 def quantize(l, cfg):

@@ -44,7 +44,7 @@ def one_hot(messages, num_messages):
     messages = np.asarray(messages)
     if messages.ndim != 1:
         raise ValueError("messages must be a 1-d array of indices")
-    if np.any(messages < 0) or np.any(messages >= num_messages):
+    if messages.size and (messages.min() < 0 or messages.max() >= num_messages):
         raise ValueError("message index out of range")
     out = np.zeros((messages.size, num_messages))
     out[np.arange(messages.size), messages] = 1.0

@@ -16,6 +16,7 @@ from qflearn.channels import (
     nlpn,
     propagate,
 )
+from qflearn.channels import _NLPN_DRAW_NORMALS as CAP
 
 
 def test_dbm_conversions():
@@ -104,6 +105,45 @@ def test_nlpn_gamma_zero_matches_awgn_moments():
     assert np.mean(np.abs(yn) ** 2) == pytest.approx(np.mean(np.abs(ya) ** 2), rel=0.01)
     assert np.var(yn.real) == pytest.approx(np.var(ya.real), rel=0.01)
     assert np.var(yn.imag) == pytest.approx(np.var(ya.imag), rel=0.01)
+
+
+def nlpn_per_step(x, cfg, rng):
+    """The recursion with one complex_gaussian draw per step: the reference
+    for the blocked noise draw in nlpn."""
+    x = np.asarray(x, dtype=np.complex128)
+    step_var = cfg.sigma_sq_mw / cfg.K
+    phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K
+    out = x.copy()
+    for _ in range(cfg.K):
+        out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
+        out = out + complex_gaussian(out.shape, step_var, rng)
+    return out
+
+
+# Shapes on both sides of the draw cap at K = 50: all steps in one draw (1,
+# 64, 8x8), blocks of 4 steps with a last block of 2 (CAP // 8), one step
+# per draw (CAP // 2 + 1).
+@pytest.mark.parametrize("shape", [(1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,)])
+@pytest.mark.parametrize("sigma_sq_dbm", [-21.3, -np.inf])
+def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
+    cfg = ChannelConfig(family=NLPN, sigma_sq_dbm=sigma_sq_dbm, P_dbm=0.0, gamma=1.27, L_km=5000.0, K=50)
+    src = np.random.default_rng(14)
+    x = 0.7 * (src.normal(size=shape) + 1j * src.normal(size=shape))
+    rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
+    start_state = rng.bit_generator.state
+    y = nlpn(x, cfg, rng)
+    expect = nlpn_per_step(x, cfg, ref_rng)
+    assert y.shape == shape
+    assert y.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if sigma_sq_dbm == -np.inf:
+        assert rng.bit_generator.state == start_state  # the noiseless path draws nothing
+
+
+def test_nlpn_uneven_block_case_is_uneven():
+    block = CAP // (2 * (CAP // 8))
+    assert 1 < block < 50 and 50 % block != 0
+    assert CAP // (2 * (CAP // 2 + 1)) == 0  # falls back to one step per draw
 
 
 def test_propagate_dispatch():

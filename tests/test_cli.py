@@ -176,6 +176,32 @@ def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, m
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, section, body, message",
+    [
+        ("ser-sweep", "sweep", {"parameter": "snr_db", "values": [15.0], "num_symbols": 0}, "num_symbols must be >= 1"),
+        (
+            "ser-sweep",
+            "sweep",
+            {"parameter": "p_dbm", "values": [0.0], "include_qam16_ml": True, "ml_draws_per_point": 0},
+            "ml_draws_per_point must be >= 1",
+        ),
+        ("verify", "verify", {"num_samples": 0}, "num_samples must be >= 1"),
+        ("verify", "verify", {"num_samples": 1000, "quantized_bits": [0]}, "q_bits must be >= 1"),
+        ("verify", "verify", {"num_samples": 1000, "flip_probs": [0.7]}, "flip_prob must lie in [0, 0.5]"),
+        ("bussgang", "bussgang", {"q_bits": [0], "num_samples": 1000}, "q_bits must be >= 1"),
+        ("bussgang", "bussgang", {"num_samples": 0}, "num_samples must be >= 1"),
+    ],
+)
+def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, command, section, body, message):
+    out = tmp_path / "out"
+    cfg = base_config(out, **{section: body})
+    assert main([command, write_config(tmp_path, cfg)]) == 2
+    assert f"invalid {section} config: {message}" in capsys.readouterr().err
+    assert not (out / "tx.json").exists() and not (out / "tx_snapshot.json").exists()
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("parameter", ["snr_db", "p_dbm"])
 def test_sweep_point_with_non_finite_power_exits_2(tmp_path, capsys, parameter):
     out = tmp_path / "out"

@@ -28,7 +28,7 @@ from qflearn.evaluation import (
 )
 from qflearn.neuralnet import LINEAR, SOFTMAX, DenseLayer, DenseNetwork
 from qflearn.training import MetricsRecord, PHASE_RX, PHASE_TX
-from qflearn.transceiver import build_receiver, build_transmitter, constellation, real_to_complex
+from qflearn.transceiver import build_receiver, build_transmitter, constellation, real_to_complex, score_upstream
 
 CHANNEL = ChannelConfig(family=AWGN, sigma_sq_dbm=-21.3, P_dbm=-6.3)
 
@@ -237,6 +237,26 @@ def test_score_moments_match_dense(small_samples):
     coeffs = {"loss": 1.0, "rand": -1.0}
     direct = float(np.mean((weights["loss"] - weights["rand"]) ** 2 * norms))
     assert moments.gram_bilinear(coeffs, coeffs) == pytest.approx(direct, rel=1e-10)
+
+
+def add_at_means(samples, w, chunk):
+    """Per-message upstream sums with np.add.at, chunk by chunk, contracted
+    with the Jacobian: the reference for score_moments' means."""
+    acc = np.zeros((samples.jac.shape[0], 2))
+    for start in range(0, samples.num_samples, chunk):
+        sl = slice(start, start + chunk)
+        u = score_upstream(samples.perturbations[sl], samples.sigma_p_sq)
+        np.add.at(acc, samples.messages[sl], w[sl][:, None] * u)
+    return np.einsum("mc,mcp->p", acc, samples.jac) / samples.num_samples
+
+
+def test_score_moments_means_equal_add_at_reference_exactly(small_samples):
+    s = small_samples
+    rng = np.random.default_rng(16)
+    weights = {"loss": s.raw_losses.copy(), "signed": rng.normal(size=s.num_samples)}
+    moments = score_moments(s, weights, chunk=701)
+    for name, w in weights.items():
+        assert moments.means[name].tobytes() == add_at_means(s, w, 701).tobytes()
 
 
 def test_score_moments_rejects_bad_shape(small_samples):

@@ -147,6 +147,21 @@ def test_bit_mapping_roundtrip_all_indices():
         np.testing.assert_array_equal(bits_to_indices(bits, cfg), idx)
 
 
+@pytest.mark.parametrize("q", range(1, 9))
+def test_bit_mapping_roundtrip_2d_batch(q):
+    cfg = QuantizerConfig(q)
+    idx = np.random.default_rng(q).integers(0, 2**q, size=(5, 7))
+    bits = indices_to_bits(idx, cfg)
+    assert bits.shape == (5, 7, q)
+    weights = 1 << np.arange(q - 1, -1, -1)
+    for dtype in (np.uint8, bool, np.int64):
+        decoded = bits_to_indices(bits.astype(dtype), cfg)
+        assert decoded.dtype == np.int64
+        np.testing.assert_array_equal(decoded, idx)
+        # the weighted-sum decode it replaces
+        np.testing.assert_array_equal(decoded, (bits.astype(np.int64) * weights).sum(axis=-1))
+
+
 def test_bit_mapping_is_msb_first():
     cfg = QuantizerConfig(3)
     np.testing.assert_array_equal(indices_to_bits(np.array([5]), cfg), [[1, 0, 1]])

@@ -51,6 +51,16 @@ def test_one_hot_rows():
     )
 
 
+@pytest.mark.parametrize("messages", [[0, -1, 2], [0, 4, 2]])
+def test_one_hot_rejects_out_of_range_messages(messages):
+    with pytest.raises(ValueError, match="message index out of range"):
+        one_hot(np.array(messages), 4)
+
+
+def test_one_hot_of_no_messages_is_empty():
+    assert one_hot(np.array([], dtype=np.int64), 4).shape == (0, 4)
+
+
 def test_complex_real_roundtrip():
     z = np.array([1.0 + 2.0j, -0.5 - 0.25j])
     np.testing.assert_array_equal(real_to_complex(complex_to_real(z)), z)
