@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
 from .neuralnet import load_network, save_network
-from .training import TrainingConfig, train, write_metrics_csv
+from .training import TrainingConfig, TrainState, advance, train, write_metrics_csv
 from .transceiver import constellation, export_constellation_csv
 
 CONFIG_SCHEMA_VERSION = 1
@@ -370,18 +370,20 @@ def cmd_verify(cfg, out_dir):
     training = build_training(cfg)
     default_snapshot = max(1, training.num_iterations // 2)
     snapshot_iter = _coerce(int, vf.get("snapshot_iter", default_snapshot), "verify", "snapshot_iter")
+    if not 1 <= snapshot_iter <= training.num_iterations:
+        raise ConfigError(
+            f"invalid verify config: snapshot_iter {snapshot_iter} must lie in "
+            f"1..num_iterations ({training.num_iterations})"
+        )
 
     tx_path = os.path.join(out_dir, "tx_snapshot.json")
     rx_path = os.path.join(out_dir, "rx_snapshot.json")
     if os.path.exists(tx_path) and os.path.exists(rx_path):
         tx, rx = load_network(tx_path), load_network(rx_path)
     else:
-        result = train(training, channel, cfg["seed"], snapshot_iter=snapshot_iter)
-        if result.snapshot is None:
-            raise ConfigError(
-                f"snapshot_iter {snapshot_iter} exceeds num_iterations {training.num_iterations}"
-            )
-        tx, rx = result.snapshot
+        # Only the networks after snapshot_iter are measured, so train no further.
+        snapshot = advance(TrainState.start(training, cfg["seed"]), training, channel, snapshot_iter)
+        tx, rx = snapshot.tx, snapshot.rx
         save_network(tx, tx_path)
         save_network(rx, rx_path)
 

@@ -9,7 +9,8 @@ training trajectory.
 """
 
 import math
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,22 +104,38 @@ class RngBundle:
 
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """A training run between outer iterations: both networks (each carrying
+    its Adam moments and step count), the run's generators, the number of
+    outer iterations done and one MetricsRecord per gradient step so far."""
+
     tx: object
     rx: object
-    metrics: list
-    snapshot: tuple | None = None  # (tx copy, rx copy) taken after snapshot_iter
+    rngs: RngBundle
+    outer: int = 0
+    metrics: list = field(default_factory=list)
+
+    @classmethod
+    def start(cls, cfg, seed):
+        """The state before the first outer iteration: Glorot-initialized networks."""
+        rngs = RngBundle.from_seed(seed)
+        tx = build_transmitter(cfg.num_messages, rngs.init_tx)
+        return cls(tx, build_receiver(cfg.num_messages, rngs.init_rx), rngs)
+
+    def copy(self):
+        """An independent copy; advancing either leaves the other untouched."""
+        return TrainState(self.tx.copy(), self.rx.copy(), deepcopy(self.rngs), self.outer, list(self.metrics))
 
 
-def receiver_step(tx, rx, channel_cfg, num_messages, batch_size, adam_cfg, msg_rng, chan_rng):
+def receiver_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
     """One supervised receiver update on a fresh uniform message batch.
 
     The transmitter is frozen and sends unperturbed normalized symbols.
     Returns (empirical_loss, grad_norm).
     """
-    messages = msg_rng.integers(0, num_messages, size=batch_size)
-    sent = transmit(tx, messages, num_messages, channel_cfg.P_mw)
-    received = propagate(real_to_complex(sent.symbols), channel_cfg, chan_rng)
+    messages = rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_rx)
+    sent = transmit(tx, messages, cfg.num_messages, channel_cfg.P_mw)
+    received = propagate(real_to_complex(sent.symbols), channel_cfg, rngs.channel)
     probs, tape = receive(rx, received)
     losses = cross_entropy_losses(probs, messages)
     grad = receiver_gradient(rx, tape, probs, messages)
@@ -126,97 +143,74 @@ def receiver_step(tx, rx, channel_cfg, num_messages, batch_size, adam_cfg, msg_r
     return float(losses.mean()), grad.norm()
 
 
-def transmitter_step(
-    tx,
-    rx,
-    channel_cfg,
-    num_messages,
-    batch_size,
-    sigma_p_sq,
-    quantizer,
-    bsc_cfg,
-    clip_fraction,
-    adam_cfg,
-    rngs,
-):
+def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
     """One policy-gradient transmitter update through the feedback chain.
 
     The receiver is frozen; it computes per-sample cross-entropy losses on
     the perturbed transmission, and the transmitter sees those losses either
-    raw (quantizer None) or after preprocess/quantize/[bit flips]/dequantize.
+    raw (cfg.quantizer None) or after preprocess/quantize/[bit flips]/dequantize.
     Returns (empirical_loss, grad_norm, g_estimate).
     """
-    messages = rngs.messages.integers(0, num_messages, size=batch_size)
-    sent = transmit(tx, messages, num_messages, channel_cfg.P_mw)
+    sigma_p_sq = exploration_variance(channel_cfg.P_mw)
+    messages = rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_tx)
+    sent = transmit(tx, messages, cfg.num_messages, channel_cfg.P_mw)
     perturbed, w = perturb(sent.symbols, sigma_p_sq, rngs.exploration)
     received = propagate(real_to_complex(perturbed), channel_cfg, rngs.channel)
     probs, _ = receive(rx, received)
     losses = cross_entropy_losses(probs, messages)
 
     g_estimate = None
-    if quantizer is None:
+    if cfg.quantizer is None:
         fed_back = losses
     else:
-        batch = feedback_roundtrip(losses, quantizer, bsc_cfg, rngs.feedback, clip_fraction)
+        batch = feedback_roundtrip(losses, cfg.quantizer, cfg.bsc, rngs.feedback, cfg.clip_fraction)
         fed_back = batch.reconstructed
         if not batch.stats.degenerate and batch.transformed.var() > 0.0:
-            g_estimate = bussgang_gain(batch.transformed, quantizer).g
+            g_estimate = bussgang_gain(batch.transformed, cfg.quantizer).g
 
     grad = policy_gradient(tx, sent, w, fed_back, sigma_p_sq)
     adam_step(tx, grad, adam_cfg)
     return float(losses.mean()), grad.norm(), g_estimate
 
 
-def train(cfg, channel_cfg, seed, tx=None, rx=None, snapshot_iter=None):
-    """Run the full alternating optimization.
+def advance(state, cfg, channel_cfg, n):
+    """Run n more outer iterations on state in place and return it.
 
-    Networks are Glorot-initialized from the seed unless passed in. Returns a
-    TrainResult with the final networks and one MetricsRecord per gradient
-    step; if snapshot_iter is given, deep copies of both networks taken after
-    that outer iteration ride along (handy for mid-training analyses).
+    The SER estimate rides on the last tx row of every ser_every-th outer
+    iteration and of outer iteration cfg.num_iterations. It draws only from
+    the evaluation stream, so neither it nor where a run is split moves the
+    networks. A step's ValueError is re-raised naming where it happened.
     """
     # Local import: evaluation depends on transceiver, not on this module,
     # but pulling it at module scope would make the import graph order-sensitive.
     from .evaluation import estimate_ser
 
-    rngs = RngBundle.from_seed(seed)
-    if tx is None:
-        tx = build_transmitter(cfg.num_messages, rngs.init_tx)
-    if rx is None:
-        rx = build_receiver(cfg.num_messages, rngs.init_rx)
-    adam_rx = AdamConfig(learning_rate=cfg.lr_rx)
-    adam_tx = AdamConfig(learning_rate=cfg.lr_tx)
-    sigma_p_sq = exploration_variance(channel_cfg.P_mw)
+    # The step functions are looked up per call, so a wrapper installed on
+    # this module's names sees every step.
+    phases = (
+        (PHASE_RX, cfg.n_rx_steps, receiver_step, AdamConfig(learning_rate=cfg.lr_rx)),
+        (PHASE_TX, cfg.n_tx_steps, transmitter_step, AdamConfig(learning_rate=cfg.lr_tx)),
+    )
+    for _ in range(n):
+        state.outer += 1
+        for phase, num_steps, step_fn, adam_cfg in phases:
+            for step in range(1, num_steps + 1):
+                try:
+                    record = step_fn(state.tx, state.rx, channel_cfg, cfg, adam_cfg, state.rngs)
+                except ValueError as exc:
+                    raise ValueError(f"outer iteration {state.outer}, {phase} step {step}: {exc}") from exc
+                state.metrics.append(MetricsRecord(state.outer, phase, step, *record))
+        if state.outer % cfg.ser_every == 0 or state.outer == cfg.num_iterations:
+            state.metrics[-1].ser = estimate_ser(
+                state.tx, state.rx, channel_cfg, cfg.num_messages, cfg.ser_symbols, state.rngs.evaluation
+            ).ser
+    return state
 
-    metrics = []
-    snapshot = None
-    for outer in range(1, cfg.num_iterations + 1):
-        for step in range(1, cfg.n_rx_steps + 1):
-            loss, gnorm = receiver_step(
-                tx, rx, channel_cfg, cfg.num_messages, cfg.batch_rx, adam_rx, rngs.messages, rngs.channel
-            )
-            metrics.append(MetricsRecord(outer, PHASE_RX, step, loss, gnorm))
-        for step in range(1, cfg.n_tx_steps + 1):
-            loss, gnorm, g_est = transmitter_step(
-                tx,
-                rx,
-                channel_cfg,
-                cfg.num_messages,
-                cfg.batch_tx,
-                sigma_p_sq,
-                cfg.quantizer,
-                cfg.bsc,
-                cfg.clip_fraction,
-                adam_tx,
-                rngs,
-            )
-            metrics.append(MetricsRecord(outer, PHASE_TX, step, loss, gnorm, g_estimate=g_est))
-        if outer % cfg.ser_every == 0 or outer == cfg.num_iterations:
-            result = estimate_ser(tx, rx, channel_cfg, cfg.num_messages, cfg.ser_symbols, rngs.evaluation)
-            metrics[-1].ser = result.ser
-        if snapshot_iter is not None and outer == snapshot_iter:
-            snapshot = (tx.copy(), rx.copy())
-    return TrainResult(tx=tx, rx=rx, metrics=metrics, snapshot=snapshot)
+
+def train(cfg, channel_cfg, seed):
+    """Run the full alternating optimization from Glorot-initialized networks;
+    returns the final TrainState."""
+    return advance(TrainState.start(cfg, seed), cfg, channel_cfg, cfg.num_iterations)
 
 
 def _format_cell(value):

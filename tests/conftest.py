@@ -19,13 +19,14 @@ from qflearn.evaluation import (
     estimate_ser,
 )
 from qflearn.feedback import QuantizerConfig
-from qflearn.training import PHASE_TX, TrainingConfig, train
+from qflearn.training import PHASE_TX, TrainingConfig, TrainState, advance, train
 
 # One desk-scale recipe per channel family. The 500-iteration AWGN pair
 # (perfect and 1-bit feedback) carries criteria 8b and 9 and donates a
 # mid-training snapshot to criteria 2, 5 and 6. The perfect-feedback AWGN
-# recipe run on to CONVERGED_ITERATIONS carries criterion 8a, which needs a
-# transmitter that has converged. The NLPN trio carries criterion 10. Seeds,
+# run, resumed from its DESK_ITERATIONS state and run on to
+# CONVERGED_ITERATIONS, carries criterion 8a, which needs a transmitter that
+# has converged. The NLPN trio carries criterion 10. Seeds,
 # iteration counts and the snapshot iteration are pinned: the runs are
 # deterministic, so the suite checks the same systems every time.
 AWGN_DESK = ChannelConfig(family=AWGN, sigma_sq_dbm=-21.3, P_dbm=-6.3)
@@ -93,39 +94,51 @@ def pytest_terminal_summary(terminalreporter):
 class DeskRun:
     """One trained desk-scale system plus the measurements the criteria use."""
 
-    result: object
+    result: object  # the TrainState at the end of the run
     ser: float
     trend_down: bool
     convergence: int | None
+    snapshot: object = None  # a TrainState copy taken after SNAPSHOT_ITER
 
 
-def _desk_run(
-    channel, seed, quantizer=None, bsc=None, snapshot_iter=None, iterations=DESK_ITERATIONS
-):
-    cfg = TrainingConfig(
-        num_iterations=iterations,
-        quantizer=quantizer,
-        bsc=bsc,
-        ser_every=iterations,  # skip in-training SER; it never touches the run
-    )
-    result = train(cfg, channel, seed, snapshot_iter=snapshot_iter)
+def _desk_config(iterations=DESK_ITERATIONS, quantizer=None, bsc=None):
+    # ser_every=iterations skips in-training SER; it never touches the run
+    return TrainingConfig(num_iterations=iterations, quantizer=quantizer, bsc=bsc, ser_every=iterations)
+
+
+def _measure(state, channel, seed, snapshot=None):
     rng = rngstreams.substream(seed, rngstreams.EVALUATION, 99)
-    ser = estimate_ser(result.tx, result.rx, channel, 16, DESK_SER_SYMBOLS, rng).ser
-    tx_losses = [r.empirical_loss for r in result.metrics if r.phase == PHASE_TX]
+    ser = estimate_ser(state.tx, state.rx, channel, 16, DESK_SER_SYMBOLS, rng).ser
+    tx_losses = [r.empirical_loss for r in state.metrics if r.phase == PHASE_TX]
     tail = max(1, len(tx_losses) // 10)
     trend_down = float(np.mean(tx_losses[-tail:])) < float(np.mean(tx_losses[:tail]))
-    return DeskRun(result, ser, trend_down, convergence_iteration(result.metrics))
+    return DeskRun(state, ser, trend_down, convergence_iteration(state.metrics), snapshot)
+
+
+def _desk_run(channel, seed, quantizer=None, bsc=None):
+    return _measure(train(_desk_config(quantizer=quantizer, bsc=bsc), channel, seed), channel, seed)
 
 
 @pytest.fixture(scope="session")
 def awgn_desk_perfect():
-    return _desk_run(AWGN_DESK, AWGN_DESK_SEED, snapshot_iter=SNAPSHOT_ITER)
+    cfg = _desk_config()
+    state = advance(TrainState.start(cfg, AWGN_DESK_SEED), cfg, AWGN_DESK, SNAPSHOT_ITER)
+    snapshot = state.copy()
+    advance(state, cfg, AWGN_DESK, DESK_ITERATIONS - SNAPSHOT_ITER)
+    return _measure(state, AWGN_DESK, AWGN_DESK_SEED, snapshot)
 
 
 @pytest.fixture(scope="session")
-def awgn_converged_perfect():
-    """The awgn_desk_perfect recipe run on to CONVERGED_ITERATIONS."""
-    return _desk_run(AWGN_DESK, AWGN_DESK_SEED, iterations=CONVERGED_ITERATIONS)
+def awgn_converged_perfect(awgn_desk_perfect):
+    """The awgn_desk_perfect run resumed from its final state to CONVERGED_ITERATIONS.
+
+    The networks equal a straight CONVERGED_ITERATIONS run's byte for byte:
+    only the in-training SER differs, which drew from the evaluation stream
+    at DESK_ITERATIONS, and no criterion reads it.
+    """
+    state = awgn_desk_perfect.result.copy()
+    advance(state, _desk_config(CONVERGED_ITERATIONS), AWGN_DESK, CONVERGED_ITERATIONS - DESK_ITERATIONS)
+    return _measure(state, AWGN_DESK, AWGN_DESK_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -148,6 +161,6 @@ def nlpn_desk_runs():
 @pytest.fixture(scope="session")
 def verify_samples(awgn_desk_perfect):
     """10^6 shared policy samples on the frozen mid-training snapshot."""
-    tx, rx = awgn_desk_perfect.result.snapshot
+    snapshot = awgn_desk_perfect.snapshot
     rng = rngstreams.substream(AWGN_DESK_SEED, rngstreams.VERIFY)
-    return collect_score_samples(tx, rx, AWGN_DESK, 16, 1_000_000, rng)
+    return collect_score_samples(snapshot.tx, snapshot.rx, AWGN_DESK, 16, 1_000_000, rng)

@@ -24,6 +24,7 @@ from conftest import (
     NLPN_DESK,
     record_acceptance,
 )
+import qflearn
 from qflearn import rngstreams
 from qflearn.channels import AWGN, NLPN, ChannelConfig, propagate
 from qflearn.cli import OUTPUT_DIR_ENV
@@ -77,7 +78,7 @@ def test_criterion_01_gradient_engine_matches_finite_differences():
 
 def test_criterion_02_score_zero_mean(awgn_desk_perfect):
     """Empirical score mean over 1e5 policy draws, per-coordinate 3 sigma."""
-    tx, rx = awgn_desk_perfect.result.snapshot
+    tx, rx = awgn_desk_perfect.snapshot.tx, awgn_desk_perfect.snapshot.rx
     rng = rngstreams.substream(AWGN_DESK_SEED, rngstreams.VERIFY, 3, 6)
     num_draws = 100_000
     samples = collect_score_samples(tx, rx, AWGN_DESK, 16, num_draws, rng)
@@ -361,10 +362,15 @@ def _write_json(path, payload):
 
 
 def _run_cli(args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qflearn.cli", *args], capture_output=True, text=True
+    # the child imports the same package this test imported, however pytest found it
+    src_dir = os.path.dirname(os.path.dirname(qflearn.__file__))
+    search_path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "qflearn.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=search_path),
     )
-    return proc
 
 
 def _dir_bytes(root):

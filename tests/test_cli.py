@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import qflearn
+import qflearn.cli
 from qflearn.cli import OUTPUT_DIR_ENV, config_hash, load_config, main
 from qflearn.feedback import gaussian_one_bit_gain
+from qflearn.training import advance
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +193,9 @@ def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, m
         ("verify", "verify", {"num_samples": 1000, "flip_probs": [0.7]}, "flip_prob must lie in [0, 0.5]"),
         ("bussgang", "bussgang", {"q_bits": [0], "num_samples": 1000}, "q_bits must be >= 1"),
         ("bussgang", "bussgang", {"num_samples": 0}, "num_samples must be >= 1"),
+        ("verify", "verify", {"snapshot_iter": 0}, "snapshot_iter 0 must lie in 1..num_iterations (1)"),
+        ("verify", "verify", {"snapshot_iter": -1}, "snapshot_iter -1 must lie in 1..num_iterations (1)"),
+        ("verify", "verify", {"snapshot_iter": 2}, "snapshot_iter 2 must lie in 1..num_iterations (1)"),
     ],
 )
 def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, command, section, body, message):
@@ -368,6 +373,32 @@ def test_verify_rejects_wide_bitflip_quantizer(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", verify={"bitflip_bits": [3]})
     assert main(["verify", write_config(tmp_path, cfg)]) == 2
     assert "1- or 2-bit" in capsys.readouterr().err
+
+
+def test_verify_trains_only_to_the_snapshot(tmp_path, monkeypatch):
+    advanced = []
+
+    def recording_advance(state, cfg, channel_cfg, n):
+        state = advance(state, cfg, channel_cfg, n)
+        advanced.append((n, state.outer))
+        return state
+
+    monkeypatch.setattr(qflearn.cli, "advance", recording_advance)
+    out = tmp_path / "out"
+    cfg = base_config(
+        out,
+        verify={
+            "num_samples": 20_000,
+            "quantized_bits": [1],
+            "bitflip_bits": [1],
+            "flip_probs": [0.1],
+            "snapshot_iter": 2,
+        },
+    )
+    cfg["training"]["num_iterations"] = 5
+    assert main(["verify", write_config(tmp_path, cfg)]) in (0, 1)
+    assert advanced == [(2, 2)]
+    assert json.loads((out / "verify_report.json").read_text())["snapshot_iter"] == 2
 
 
 def test_verify_report_smoke(tmp_path):

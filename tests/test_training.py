@@ -1,9 +1,11 @@
 """Alternating-optimization loop behavior: phases, determinism, logging."""
 
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
-from qflearn.channels import AWGN, BscConfig, ChannelConfig
+from qflearn.channels import AWGN, NLPN, BscConfig, ChannelConfig
 from qflearn.feedback import QuantizerConfig
 from qflearn.neuralnet import AdamConfig
 from qflearn.training import (
@@ -12,15 +14,24 @@ from qflearn.training import (
     PHASE_TX,
     RngBundle,
     TrainingConfig,
+    TrainState,
+    advance,
     exploration_variance,
     read_metrics_csv,
     receiver_step,
     train,
+    transmitter_step,
     write_metrics_csv,
 )
 
 
 CHANNEL = ChannelConfig(family=AWGN, sigma_sq_dbm=-21.3, P_dbm=-6.3)
+NLPN_CHANNEL = ChannelConfig(family=NLPN, sigma_sq_dbm=-21.3, P_dbm=-3.0, gamma=1.27, L_km=5000.0, K=50)
+FEEDBACK_MODES = {
+    "perfect": {},
+    "q1": dict(quantizer=QuantizerConfig(1)),
+    "q2_bsc": dict(quantizer=QuantizerConfig(2), bsc=BscConfig(flip_prob=0.1)),
+}
 
 
 def small_config(**overrides):
@@ -79,7 +90,7 @@ def test_config_rejects_non_finite_and_out_of_range_values():
 
 def test_zero_iterations_returns_initial_networks():
     result = train(TrainingConfig(num_iterations=0), CHANNEL, seed=3)
-    assert result.metrics == []
+    assert result.metrics == [] and result.outer == 0
     rngs = RngBundle.from_seed(3)
     from qflearn.transceiver import build_transmitter
 
@@ -118,45 +129,63 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.tx.flatten_params(), b.tx.flatten_params())
 
 
+def net_bytes(net):
+    return net.params.tobytes(), net.adam_m.tobytes(), net.adam_v.tobytes(), net.adam_t
+
+
+def state_bytes(state):
+    """Everything a TrainState carries, in a form that compares bit for bit."""
+    streams = [getattr(state.rngs, f.name).bit_generator.state for f in fields(state.rngs)]
+    return net_bytes(state.tx), net_bytes(state.rx), streams, state.outer, [astuple(r) for r in state.metrics]
+
+
 def test_phases_touch_only_their_network():
-    """rx parameters move only in rx steps, tx parameters only in tx steps."""
-    from qflearn.transceiver import build_receiver, build_transmitter
-
-    rngs = RngBundle.from_seed(21)
-    tx = build_transmitter(16, rngs.init_tx)
-    rx = build_receiver(16, rngs.init_rx)
-    cfg = small_config(num_iterations=1)
-
-    tx_before = tx.flatten_params().copy()
-    result = train(cfg, CHANNEL, seed=21, tx=tx, rx=rx)
-    assert result.tx is tx
-
-    # replay: rx-only steps with a frozen transmitter change rx alone
-    rngs2 = RngBundle.from_seed(22)
-    tx2 = build_transmitter(16, rngs2.init_tx)
-    rx2 = build_receiver(16, rngs2.init_rx)
-    tx2_before = tx2.flatten_params().copy()
-    for _ in range(5):
-        receiver_step(
-            tx2, rx2, CHANNEL, 16, 16, AdamConfig(learning_rate=0.008), rngs2.messages, rngs2.channel
-        )
-    np.testing.assert_array_equal(tx2.flatten_params(), tx2_before)
-    assert not np.array_equal(tx_before, result.tx.flatten_params())
-
-
-def test_snapshot_is_frozen_copy():
+    """rx parameters and Adam state move only in rx steps, tx ones only in tx steps."""
     cfg = small_config()
-    result = train(cfg, CHANNEL, seed=5, snapshot_iter=2)
-    assert result.snapshot is not None
-    snap_tx, snap_rx = result.snapshot
-    # training continued after the snapshot, so the live nets moved on
-    assert not np.array_equal(snap_tx.flatten_params(), result.tx.flatten_params())
-    assert not np.array_equal(snap_rx.flatten_params(), result.rx.flatten_params())
+    state = TrainState.start(cfg, seed=21)
+    tx_before, rx_before = net_bytes(state.tx), net_bytes(state.rx)
+    for _ in range(5):
+        receiver_step(state.tx, state.rx, CHANNEL, cfg, AdamConfig(learning_rate=cfg.lr_rx), state.rngs)
+    assert net_bytes(state.tx) == tx_before
+    assert net_bytes(state.rx) != rx_before
+
+    rx_after = net_bytes(state.rx)
+    for _ in range(5):
+        transmitter_step(state.tx, state.rx, CHANNEL, cfg, AdamConfig(learning_rate=cfg.lr_tx), state.rngs)
+    assert net_bytes(state.rx) == rx_after
+    assert net_bytes(state.tx) != tx_before
 
 
-def test_snapshot_beyond_run_is_none():
-    result = train(small_config(), CHANNEL, seed=5, snapshot_iter=99)
-    assert result.snapshot is None
+@pytest.mark.parametrize("channel", [CHANNEL, NLPN_CHANNEL], ids=["awgn", "nlpn"])
+@pytest.mark.parametrize("mode", sorted(FEEDBACK_MODES))
+@pytest.mark.parametrize("k", [3, 4])  # 4 lies on the SER cadence, 3 does not
+def test_split_run_equals_straight_run(channel, mode, k):
+    cfg = small_config(num_iterations=6, ser_every=2, **FEEDBACK_MODES[mode])
+    straight = train(cfg, channel, seed=13)
+    split = advance(TrainState.start(cfg, seed=13), cfg, channel, k).copy()
+    advance(split, cfg, channel, cfg.num_iterations - k)
+    assert state_bytes(split) == state_bytes(straight)
+    assert [r.outer_iter for r in straight.metrics if r.ser is not None] == [2, 4, 6]
+
+
+def test_advancing_a_copy_leaves_the_original_untouched():
+    cfg = small_config(quantizer=QuantizerConfig(1), bsc=BscConfig(flip_prob=0.2), ser_every=1)
+    state = advance(TrainState.start(cfg, seed=5), cfg, CHANNEL, 2)
+    before = state_bytes(state)
+    fork = state.copy()
+    advance(fork, cfg, CHANNEL, 1)
+    assert state_bytes(state) == before
+    assert fork.outer == 3
+    assert not np.array_equal(fork.tx.params, state.tx.params)
+    assert not np.array_equal(fork.rx.params, state.rx.params)
+
+
+def test_step_failure_names_the_outer_iteration_phase_and_step():
+    cfg = small_config()
+    state = advance(TrainState.start(cfg, seed=12), cfg, CHANNEL, 2)
+    state.tx.params[0] = np.nan
+    with pytest.raises(ValueError, match=r"^outer iteration 3, rx step 1: non-finite gradient$"):
+        advance(state, cfg, CHANNEL, 1)
 
 
 def test_quantized_run_logs_g_estimate():
@@ -178,17 +207,14 @@ def test_perfect_feedback_logs_no_g_estimate():
 
 def test_receiver_loss_drops_on_noiseless_channel():
     """A few hundred supervised steps must crush the loss with no noise."""
-    from qflearn.transceiver import build_receiver, build_transmitter
-
     noiseless = ChannelConfig(family=AWGN, sigma_sq_dbm=-np.inf, P_dbm=-6.3)
-    rngs = RngBundle.from_seed(31)
-    tx = build_transmitter(16, rngs.init_tx)
-    rx = build_receiver(16, rngs.init_rx)
+    cfg = small_config(batch_rx=64)
+    state = TrainState.start(cfg, seed=31)
     adam = AdamConfig(learning_rate=0.008)
     first = None
     last = None
     for _ in range(400):
-        loss, _ = receiver_step(tx, rx, noiseless, 16, 64, adam, rngs.messages, rngs.channel)
+        loss, _ = receiver_step(state.tx, state.rx, noiseless, cfg, adam, state.rngs)
         if first is None:
             first = loss
         last = loss
