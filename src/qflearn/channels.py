@@ -19,10 +19,6 @@ def dbm_to_mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(mw)
-
-
 @dataclass
 class ChannelConfig:
     family: str  # "awgn" | "nlpn"
@@ -55,37 +51,72 @@ class ChannelConfig:
         return self.P_dbm - self.sigma_sq_dbm
 
 
-def complex_gaussian(shape, variance, rng):
-    """Circularly-symmetric complex Gaussian samples with total variance `variance`."""
+def complex_gaussian(shape, variance, rng, lead=()):
+    """Circularly-symmetric complex Gaussian samples with total variance
+    `variance`, of shape lead + shape, from one lead + (2,) + shape draw.
+
+    Each lead index takes the real part of its `shape` block, then the
+    imaginary part, so the generator is consumed as by one draw of `shape`
+    (real parts, then imaginary parts) per lead index, taken in C order.
+    """
     if variance == 0.0:
-        return np.zeros(shape, dtype=np.complex128)
-    s = np.sqrt(variance / 2.0)
-    return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
+        return np.zeros(lead + shape, dtype=np.complex128)
+    z = rng.normal(0.0, np.sqrt(variance / 2.0), lead + (2, math.prod(shape)))
+    noise = 1j * z[..., 1, :]
+    noise += z[..., 0, :]  # in place: the same bits as re + 1j * im, one temporary fewer
+    return noise.reshape(lead + shape)
 
 
 def awgn(x, cfg, rng):
-    """y = x + n with n circularly-symmetric Gaussian of total variance sigma^2."""
-    x = np.asarray(x, dtype=np.complex128)
-    return x + complex_gaussian(x.shape, cfg.sigma_sq_mw, rng)
+    """y = x + n with n circularly-symmetric Gaussian of total variance sigma^2.
 
-
-# Most normals one nlpn noise draw may hold (64 KB). A batch of 64 draws all
-# K = 50 steps at once; the 10^4-symbol SER estimate inside training and
-# larger inputs draw one step at a time, so their peak memory stays as it was.
-_NLPN_DRAW_NORMALS = 2**13
-
-
-def _step_noise(steps, shape, variance, rng):
-    """Noise of `steps` consecutive nlpn steps, shape (steps,) + shape.
-
-    One (steps, 2) + shape draw consumes the generator in the per-step order
-    (real then imaginary part of step 1, then step 2, ...), so the values do
-    not depend on how the K steps are split into blocks.
+    A 2-d x is a stack of channel uses: one (rows, 2, B) draw gives row i the
+    noise a call on x[i] would get after calls on x[0], ..., x[i-1].
     """
-    if variance == 0.0:
-        return np.zeros((steps,) + shape, dtype=np.complex128)
-    z = rng.normal(0.0, np.sqrt(variance / 2.0), (steps, 2) + shape)
-    return z[:, 0] + 1j * z[:, 1]
+    x = np.asarray(x, dtype=np.complex128)
+    lead = x.shape[:1] if x.ndim > 1 else ()
+    return x + complex_gaussian(x.shape[len(lead):], cfg.sigma_sq_mw, rng, lead)
+
+
+# Most normals one nlpn noise draw of a single channel use may hold (64 KB).
+# A batch of 64 draws all K = 50 steps at once; the 10^4-symbol SER estimate
+# inside training and larger inputs draw one step at a time, so their peak
+# memory stays as it was.
+_NLPN_DRAW_NORMALS = 2**13
+# Most normals one draw for a group of whole rows of a stacked (2-d) input
+# may hold (512 KB): groups of 10 rows of 64 symbols at K = 50. A whole
+# 30 x 64 receiver phase in one group ran no faster and tripled the call's
+# transient memory. A row wider than this (B > 655 at K = 50) goes through
+# the single-use path row by row.
+_NLPN_ROW_GROUP_NORMALS = 2**16
+
+
+def _nlpn_steps(x, cfg, noise_blocks):
+    """The K-step recursion on x; noise_blocks yields the step noise as
+    arrays of consecutive steps, each of shape (steps,) + x.shape."""
+    phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K  # rad per mW
+    out = x
+    for block in noise_blocks:
+        for noise in block:
+            out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
+            out = out + noise
+    return out
+
+
+def _nlpn_use(x, cfg, rng):
+    """One channel use, its noise drawn in blocks of steps capped at
+    _NLPN_DRAW_NORMALS normals."""
+    step_var = cfg.sigma_sq_mw / cfg.K
+    block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
+    blocks = (complex_gaussian(x.shape, step_var, rng, (min(block, cfg.K - k),)) for k in range(0, cfg.K, block))
+    return _nlpn_steps(x, cfg, blocks)
+
+
+def _nlpn_rows(x, cfg, rng):
+    """A group of whole rows of a stacked input, all K steps of every row
+    drawn at once: one (rows, K, 2, B) draw."""
+    noise = complex_gaussian(x.shape[1:], cfg.sigma_sq_mw / cfg.K, rng, (len(x), cfg.K))
+    return _nlpn_steps(x, cfg, [noise.swapaxes(0, 1)])
 
 
 def nlpn(x, cfg, rng):
@@ -95,22 +126,33 @@ def nlpn(x, cfg, rng):
     (gamma is per W), then adds the step noise. The noise is drawn in blocks
     of steps, never of samples, so every output bit and the generator state
     match a draw per step.
+
+    A 2-d x is a stack of channel uses: row i gets exactly what a call on
+    x[i] would get after calls on x[0], ..., x[i-1]. Groups of whole rows
+    draw all their K steps at once, (rows, K, 2, B), up to
+    _NLPN_ROW_GROUP_NORMALS normals per draw, and run the recursion together.
     """
     x = np.asarray(x, dtype=np.complex128)
-    step_var = cfg.sigma_sq_mw / cfg.K
-    phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K  # rad per mW
-    block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
-    out = x.copy()
-    for k in range(cfg.K):
-        out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
-        if k % block == 0:
-            noise = _step_noise(min(block, cfg.K - k), x.shape, step_var, rng)
-        out = out + noise[k % block]
+    if x.ndim < 2:
+        return _nlpn_use(x, cfg, rng)
+    out = np.empty_like(x)
+    rows = _NLPN_ROW_GROUP_NORMALS // (2 * cfg.K * max(math.prod(x.shape[1:]), 1))
+    if rows == 0:
+        for i, row in enumerate(x):
+            out[i] = _nlpn_use(row, cfg, rng)
+        return out
+    for i in range(0, len(x), rows):
+        out[i : i + rows] = _nlpn_rows(x[i : i + rows], cfg, rng)
     return out
 
 
 def propagate(x, cfg, rng):
-    """Dispatch to the configured channel family."""
+    """Dispatch to the configured channel family.
+
+    x is one channel use (a scalar or 1-d) or a stack of consecutive uses
+    along its first axis (2-d: one use per row); a stacked call returns and
+    draws exactly what one call per row would, in row order.
+    """
     if cfg.family == AWGN:
         return awgn(x, cfg, rng)
     return nlpn(x, cfg, rng)

@@ -127,15 +127,11 @@ class TrainState:
         return TrainState(self.tx.copy(), self.rx.copy(), deepcopy(self.rngs), self.outer, list(self.metrics))
 
 
-def receiver_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
-    """One supervised receiver update on a fresh uniform message batch.
+def receiver_step(rx, messages, received, adam_cfg):
+    """One supervised receiver update on a message batch and its channel output.
 
-    The transmitter is frozen and sends unperturbed normalized symbols.
     Returns (empirical_loss, grad_norm).
     """
-    messages = rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_rx)
-    sent = transmit(tx, messages, cfg.num_messages, channel_cfg.P_mw)
-    received = propagate(real_to_complex(sent.symbols), channel_cfg, rngs.channel)
     probs, tape = receive(rx, received)
     losses = cross_entropy_losses(probs, messages)
     grad = receiver_gradient(rx, tape, probs, messages)
@@ -173,8 +169,28 @@ def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
     return float(losses.mean()), grad.norm(), g_estimate
 
 
+def _located(state, phase, step, fn, *args):
+    """fn(*args), with a ValueError re-raised naming where in the run it happened."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"outer iteration {state.outer}, {phase} step {step}: {exc}") from exc
+
+
+def _receiver_batch(state, cfg, channel_cfg):
+    """A fresh uniform message batch and the frozen transmitter's unperturbed
+    normalized symbols for it, as (messages, (B, 2) symbols)."""
+    messages = state.rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_rx)
+    return messages, transmit(state.tx, messages, cfg.num_messages, channel_cfg.P_mw).symbols
+
+
 def advance(state, cfg, channel_cfg, n):
     """Run n more outer iterations on state in place and return it.
+
+    The transmitter is frozen for the whole receiver phase, so the phase's
+    N_R batches are drawn and encoded first and cross the channel in one
+    stacked propagate call; each receiver step then consumes its own row.
+    The channel draws the same noise as one call per step would.
 
     The SER estimate rides on the last tx row of every ser_every-th outer
     iteration and of outer iteration cfg.num_iterations. It draws only from
@@ -187,19 +203,21 @@ def advance(state, cfg, channel_cfg, n):
 
     # The step functions are looked up per call, so a wrapper installed on
     # this module's names sees every step.
-    phases = (
-        (PHASE_RX, cfg.n_rx_steps, receiver_step, AdamConfig(learning_rate=cfg.lr_rx)),
-        (PHASE_TX, cfg.n_tx_steps, transmitter_step, AdamConfig(learning_rate=cfg.lr_tx)),
-    )
+    rx_adam, tx_adam = AdamConfig(learning_rate=cfg.lr_rx), AdamConfig(learning_rate=cfg.lr_tx)
+    rx_steps = range(1, cfg.n_rx_steps + 1)
     for _ in range(n):
         state.outer += 1
-        for phase, num_steps, step_fn, adam_cfg in phases:
-            for step in range(1, num_steps + 1):
-                try:
-                    record = step_fn(state.tx, state.rx, channel_cfg, cfg, adam_cfg, state.rngs)
-                except ValueError as exc:
-                    raise ValueError(f"outer iteration {state.outer}, {phase} step {step}: {exc}") from exc
-                state.metrics.append(MetricsRecord(state.outer, phase, step, *record))
+        batches = [_located(state, PHASE_RX, step, _receiver_batch, state, cfg, channel_cfg) for step in rx_steps]
+        messages, symbols = zip(*batches)
+        received = propagate(real_to_complex(np.stack(symbols)), channel_cfg, state.rngs.channel)
+        for step, m, y in zip(rx_steps, messages, received):
+            record = _located(state, PHASE_RX, step, receiver_step, state.rx, m, y, rx_adam)
+            state.metrics.append(MetricsRecord(state.outer, PHASE_RX, step, *record))
+        for step in range(1, cfg.n_tx_steps + 1):
+            record = _located(
+                state, PHASE_TX, step, transmitter_step, state.tx, state.rx, channel_cfg, cfg, tx_adam, state.rngs
+            )
+            state.metrics.append(MetricsRecord(state.outer, PHASE_TX, step, *record))
         if state.outer % cfg.ser_every == 0 or state.outer == cfg.num_iterations:
             state.metrics[-1].ser = estimate_ser(
                 state.tx, state.rx, channel_cfg, cfg.num_messages, cfg.ser_symbols, state.rngs.evaluation

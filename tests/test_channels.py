@@ -12,20 +12,17 @@ from qflearn.channels import (
     bsc,
     complex_gaussian,
     dbm_to_mw,
-    mw_to_dbm,
     nlpn,
     propagate,
 )
 from qflearn.channels import _NLPN_DRAW_NORMALS as CAP
+from qflearn.channels import _NLPN_ROW_GROUP_NORMALS as ROW_GROUP_CAP
 
 
 def test_dbm_conversions():
     assert dbm_to_mw(0.0) == pytest.approx(1.0)
     assert dbm_to_mw(10.0) == pytest.approx(10.0)
     assert dbm_to_mw(-3.0) == pytest.approx(0.501187, rel=1e-5)
-    assert mw_to_dbm(1.0) == pytest.approx(0.0)
-    for dbm in (-21.3, -6.3, 0.0, 4.0):
-        assert mw_to_dbm(dbm_to_mw(dbm)) == pytest.approx(dbm, abs=1e-12)
 
 
 def test_snr_is_power_minus_noise_in_db():
@@ -45,8 +42,32 @@ def test_complex_gaussian_moments():
 
 def test_complex_gaussian_zero_variance_is_exact_zero():
     rng = np.random.default_rng(6)
+    start_state = rng.bit_generator.state
     n = complex_gaussian((10,), 0.0, rng)
     np.testing.assert_array_equal(n, np.zeros(10, dtype=np.complex128))
+    n = complex_gaussian((10,), 0.0, rng, lead=(3, 2))
+    np.testing.assert_array_equal(n, np.zeros((3, 2, 10), dtype=np.complex128))
+    assert rng.bit_generator.state == start_state  # draws nothing
+
+
+def two_draw_gaussian(shape, variance, rng):
+    """Complex Gaussian noise as two draws, all real parts then all
+    imaginary parts: the reference for the bits of complex_gaussian."""
+    if variance == 0.0:
+        return np.zeros(shape, dtype=np.complex128)
+    s = np.sqrt(variance / 2.0)
+    return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_complex_gaussian_equals_two_draws_per_lead_index(lead, shape):
+    rng, ref_rng = np.random.default_rng(18), np.random.default_rng(18)
+    n = complex_gaussian(shape, 0.3, rng, lead)
+    expect = np.array([two_draw_gaussian(shape, 0.3, ref_rng) for _ in np.ndindex(lead)]).reshape(lead + shape)
+    assert n.shape == lead + shape
+    assert n.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_awgn_adds_configured_noise_power():
@@ -56,6 +77,18 @@ def test_awgn_adds_configured_noise_power():
     y = awgn(x, cfg, rng)
     assert np.mean(np.abs(y - x) ** 2) == pytest.approx(1.0, rel=0.02)
     assert np.mean(y.real) == pytest.approx(2.0, abs=0.01)
+
+
+@pytest.mark.parametrize("shape", [(), (64,), (5, 64)])
+def test_awgn_adds_two_draw_noise_per_use(shape):
+    cfg = ChannelConfig(family=AWGN, sigma_sq_dbm=-21.3, P_dbm=0.0)
+    x = np.full(shape, 0.5 - 0.25j)
+    rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
+    y = awgn(x, cfg, rng)
+    uses = x if x.ndim > 1 else [x]
+    expect = np.array([use + two_draw_gaussian(use.shape, cfg.sigma_sq_mw, ref_rng) for use in uses]).reshape(shape)
+    assert y.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_nlpn_noiseless_phase_oracle():
@@ -108,22 +141,26 @@ def test_nlpn_gamma_zero_matches_awgn_moments():
 
 
 def nlpn_per_step(x, cfg, rng):
-    """The recursion with one complex_gaussian draw per step: the reference
-    for the blocked noise draw in nlpn."""
+    """The recursion with one two_draw_gaussian draw per step: the reference
+    for the blocked noise draw in nlpn. A 2-d x is a stack of channel uses,
+    one per row, taken in row order."""
     x = np.asarray(x, dtype=np.complex128)
+    if x.ndim == 2:
+        return np.array([nlpn_per_step(row, cfg, rng) for row in x]).reshape(x.shape)
     step_var = cfg.sigma_sq_mw / cfg.K
     phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K
     out = x.copy()
     for _ in range(cfg.K):
         out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
-        out = out + complex_gaussian(out.shape, step_var, rng)
+        out = out + two_draw_gaussian(out.shape, step_var, rng)
     return out
 
 
 # Shapes on both sides of the draw cap at K = 50: all steps in one draw (1,
-# 64, 8x8), blocks of 4 steps with a last block of 2 (CAP // 8), one step
-# per draw (CAP // 2 + 1).
-@pytest.mark.parametrize("shape", [(1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,)])
+# 64, and 8x8, a stack of 8 uses of 8), blocks of 4 steps with a last block
+# of 2 (CAP // 8), one step per draw (CAP // 2 + 1); 23x64 is a stack of
+# two full row groups and a partial one.
+@pytest.mark.parametrize("shape", [(1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,), (23, 64)])
 @pytest.mark.parametrize("sigma_sq_dbm", [-21.3, -np.inf])
 def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
     cfg = ChannelConfig(family=NLPN, sigma_sq_dbm=sigma_sq_dbm, P_dbm=0.0, gamma=1.27, L_km=5000.0, K=50)
@@ -144,6 +181,49 @@ def test_nlpn_uneven_block_case_is_uneven():
     block = CAP // (2 * (CAP // 8))
     assert 1 < block < 50 and 50 % block != 0
     assert CAP // (2 * (CAP // 2 + 1)) == 0  # falls back to one step per draw
+
+
+def stack_case(family, sigma_sq_dbm, n, width):
+    """A (n, width) channel input and its configured channel."""
+    cfg = ChannelConfig(family=family, sigma_sq_dbm=sigma_sq_dbm, P_dbm=-3.0, gamma=1.27, L_km=5000.0, K=50)
+    src = np.random.default_rng(16)
+    return 0.4 * (src.normal(size=(n, width)) + 1j * src.normal(size=(n, width))), cfg
+
+
+# At K = 50 a row of 64 takes 6,400 normals, so the row group is 10 rows of
+# 64; rows of 37 symbols fit 17 to a group; a row of 700 (70,000 normals) is
+# wider than the row-group cap and goes through the single-use path.
+GROUP_OF_64 = ROW_GROUP_CAP // (2 * 50 * 64)
+WIDE = 700
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(1, 64), (GROUP_OF_64, 64), (30, 64), (23, 64), (19, 37), (3, WIDE), (0, 64)],
+    ids=["one-row", "one-group", "three-groups", "partial-group", "odd-width", "wider-than-cap", "empty"],
+)
+@pytest.mark.parametrize("family", [AWGN, NLPN])
+@pytest.mark.parametrize("sigma_sq_dbm", [-21.3, -np.inf])
+def test_stacked_call_equals_sequential_calls(sigma_sq_dbm, family, n, width):
+    """Row i of a stacked call gets exactly what a call on x[i] gets after
+    calls on x[0..i-1], and the generator ends in the same state."""
+    x, cfg = stack_case(family, sigma_sq_dbm, n, width)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    start_state = rng.bit_generator.state
+    y = propagate(x, cfg, rng)
+    expect = np.array([propagate(row, cfg, ref_rng) for row in x]).reshape(x.shape)
+    assert y.shape == x.shape and y.dtype == np.complex128
+    assert y.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if sigma_sq_dbm == -np.inf:
+        assert rng.bit_generator.state == start_state  # the noiseless path draws nothing
+
+
+def test_stack_cases_straddle_the_row_group_cap():
+    assert GROUP_OF_64 == 10 and 23 % GROUP_OF_64 != 0
+    assert 2 * 50 * WIDE > ROW_GROUP_CAP
+    # a wide row takes several steps per single-use draw, so its own blocks are exercised too
+    assert 1 < CAP // (2 * WIDE) < 50
 
 
 def test_propagate_dispatch():

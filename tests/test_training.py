@@ -5,13 +5,15 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
-from qflearn.channels import AWGN, NLPN, BscConfig, ChannelConfig
+from qflearn.channels import AWGN, NLPN, BscConfig, ChannelConfig, propagate
+from qflearn.evaluation import estimate_ser
 from qflearn.feedback import QuantizerConfig
-from qflearn.neuralnet import AdamConfig
+from qflearn.neuralnet import AdamConfig, adam_step
 from qflearn.training import (
     METRICS_COLUMNS,
     PHASE_RX,
     PHASE_TX,
+    MetricsRecord,
     RngBundle,
     TrainingConfig,
     TrainState,
@@ -22,6 +24,13 @@ from qflearn.training import (
     train,
     transmitter_step,
     write_metrics_csv,
+)
+from qflearn.transceiver import (
+    cross_entropy_losses,
+    real_to_complex,
+    receive,
+    receiver_gradient,
+    transmit,
 )
 
 
@@ -139,13 +148,21 @@ def state_bytes(state):
     return net_bytes(state.tx), net_bytes(state.rx), streams, state.outer, [astuple(r) for r in state.metrics]
 
 
+def receiver_batch(state, cfg, channel):
+    """One receiver step's inputs made the per-step way: a message batch, then
+    one propagate call on the frozen transmitter's symbols for it."""
+    messages = state.rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_rx)
+    sent = transmit(state.tx, messages, cfg.num_messages, channel.P_mw)
+    return messages, propagate(real_to_complex(sent.symbols), channel, state.rngs.channel)
+
+
 def test_phases_touch_only_their_network():
     """rx parameters and Adam state move only in rx steps, tx ones only in tx steps."""
     cfg = small_config()
     state = TrainState.start(cfg, seed=21)
     tx_before, rx_before = net_bytes(state.tx), net_bytes(state.rx)
     for _ in range(5):
-        receiver_step(state.tx, state.rx, CHANNEL, cfg, AdamConfig(learning_rate=cfg.lr_rx), state.rngs)
+        receiver_step(state.rx, *receiver_batch(state, cfg, CHANNEL), AdamConfig(learning_rate=cfg.lr_rx))
     assert net_bytes(state.tx) == tx_before
     assert net_bytes(state.rx) != rx_before
 
@@ -154,6 +171,62 @@ def test_phases_touch_only_their_network():
         transmitter_step(state.tx, state.rx, CHANNEL, cfg, AdamConfig(learning_rate=cfg.lr_tx), state.rngs)
     assert net_bytes(state.rx) == rx_after
     assert net_bytes(state.tx) != tx_before
+
+
+def per_step_receiver_step(state, cfg, channel_cfg, adam_cfg):
+    """The receiver step as it was before advance stacked the receiver phase:
+    it draws its own batch and makes its own propagate call."""
+    messages, received = receiver_batch(state, cfg, channel_cfg)
+    probs, tape = receive(state.rx, received)
+    losses = cross_entropy_losses(probs, messages)
+    grad = receiver_gradient(state.rx, tape, probs, messages)
+    adam_step(state.rx, grad, adam_cfg)
+    return float(losses.mean()), grad.norm()
+
+
+def per_step_advance(state, cfg, channel_cfg, n):
+    """The reference for advance: every gradient step in turn, one channel
+    call per receiver batch."""
+    rx_adam, tx_adam = AdamConfig(learning_rate=cfg.lr_rx), AdamConfig(learning_rate=cfg.lr_tx)
+    for _ in range(n):
+        state.outer += 1
+        for step in range(1, cfg.n_rx_steps + 1):
+            record = per_step_receiver_step(state, cfg, channel_cfg, rx_adam)
+            state.metrics.append(MetricsRecord(state.outer, PHASE_RX, step, *record))
+        for step in range(1, cfg.n_tx_steps + 1):
+            record = transmitter_step(state.tx, state.rx, channel_cfg, cfg, tx_adam, state.rngs)
+            state.metrics.append(MetricsRecord(state.outer, PHASE_TX, step, *record))
+        if state.outer % cfg.ser_every == 0 or state.outer == cfg.num_iterations:
+            state.metrics[-1].ser = estimate_ser(
+                state.tx, state.rx, channel_cfg, cfg.num_messages, cfg.ser_symbols, state.rngs.evaluation
+            ).ser
+    return state
+
+
+ORACLE_MODES = {
+    "perfect": {},
+    "q1": dict(quantizer=QuantizerConfig(1)),
+    "q1_bsc": dict(quantizer=QuantizerConfig(1), bsc=BscConfig(flip_prob=0.1)),
+}
+# At K = 50, 23 receiver batches of 64 make two full row groups of 10 and a
+# partial one in the stacked channel call.
+ORACLE_SIZES = {
+    "small": dict(num_iterations=4, ser_every=2),
+    "desk_rx": dict(num_iterations=2, n_rx_steps=23, batch_rx=64, ser_every=1),
+}
+
+
+@pytest.mark.parametrize("size", sorted(ORACLE_SIZES))
+@pytest.mark.parametrize("channel", [CHANNEL, NLPN_CHANNEL], ids=["awgn", "nlpn"])
+@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+def test_advance_equals_per_step_receiver_loop(mode, channel, size):
+    """Stacking the receiver phase into one channel call moves no bit: params,
+    Adam m/v/t, all seven generator states and the metrics rows match."""
+    cfg = small_config(**ORACLE_SIZES[size], **ORACLE_MODES[mode])
+    stacked = advance(TrainState.start(cfg, seed=23), cfg, channel, cfg.num_iterations)
+    per_step = per_step_advance(TrainState.start(cfg, seed=23), cfg, channel, cfg.num_iterations)
+    assert state_bytes(stacked) == state_bytes(per_step)
+    assert len(stacked.metrics) == cfg.num_iterations * (cfg.n_rx_steps + cfg.n_tx_steps)
 
 
 @pytest.mark.parametrize("channel", [CHANNEL, NLPN_CHANNEL], ids=["awgn", "nlpn"])
@@ -188,6 +261,18 @@ def test_step_failure_names_the_outer_iteration_phase_and_step():
         advance(state, cfg, CHANNEL, 1)
 
 
+def test_failure_while_preparing_the_receiver_phase_names_the_step():
+    """The rx batches are encoded before the phase's one channel call; a
+    transmit failure there still names its outer iteration and step."""
+    cfg = small_config()
+    state = TrainState.start(cfg, seed=12)
+    state.tx.params[:] = 0.0
+    with pytest.raises(
+        ValueError, match=r"^outer iteration 1, rx step 1: transmitter produced an all-zero batch; cannot normalize$"
+    ):
+        advance(state, cfg, CHANNEL, 1)
+
+
 def test_quantized_run_logs_g_estimate():
     cfg = small_config(quantizer=QuantizerConfig(1))
     result = train(cfg, CHANNEL, seed=6)
@@ -214,7 +299,7 @@ def test_receiver_loss_drops_on_noiseless_channel():
     first = None
     last = None
     for _ in range(400):
-        loss, _ = receiver_step(state.tx, state.rx, noiseless, cfg, adam, state.rngs)
+        loss, _ = receiver_step(state.rx, *receiver_batch(state, cfg, noiseless), adam)
         if first is None:
             first = loss
         last = loss
