@@ -51,17 +51,25 @@ class ChannelConfig:
         return self.P_dbm - self.sigma_sq_dbm
 
 
-def complex_gaussian(shape, variance, rng, lead=()):
-    """Circularly-symmetric complex Gaussian samples with total variance
-    `variance`, of shape lead + shape, from one lead + (2,) + shape draw.
+def _gaussian_parts(shape, variance, rng, lead=()):
+    """The real and imaginary parts of circularly-symmetric complex Gaussian
+    noise with total variance `variance`: one lead + (2,) + shape draw of
+    N(0, variance/2), real parts at index 0 of the 2-axis, imaginary parts
+    at index 1. Zero variance draws nothing and gives zeros.
 
-    Each lead index takes the real part of its `shape` block, then the
-    imaginary part, so the generator is consumed as by one draw of `shape`
+    Each lead index takes the real parts of its `shape` block, then the
+    imaginary parts, so the generator is consumed as by one draw of `shape`
     (real parts, then imaginary parts) per lead index, taken in C order.
     """
     if variance == 0.0:
-        return np.zeros(lead + shape, dtype=np.complex128)
-    z = rng.normal(0.0, np.sqrt(variance / 2.0), lead + (2, math.prod(shape)))
+        return np.zeros(lead + (2,) + shape)
+    return rng.normal(0.0, np.sqrt(variance / 2.0), lead + (2,) + shape)
+
+
+def complex_gaussian(shape, variance, rng, lead=()):
+    """Circularly-symmetric complex Gaussian samples with total variance
+    `variance`, of shape lead + shape, from one _gaussian_parts draw."""
+    z = _gaussian_parts(shape, variance, rng, lead).reshape(lead + (2, math.prod(shape)))
     noise = 1j * z[..., 1, :]
     noise += z[..., 0, :]  # in place: the same bits as re + 1j * im, one temporary fewer
     return noise.reshape(lead + shape)
@@ -91,15 +99,43 @@ _NLPN_DRAW_NORMALS = 2**13
 _NLPN_ROW_GROUP_NORMALS = 2**16
 
 
+# From this many bytes up NumPy elides the temporary in x * np.exp(...) and
+# evaluates it as exp_tmp *= x. With FMA a complex product is not bitwise
+# commutative, so the recursion multiplies rot * out from this size up and
+# out * rot below it: the bits of x * np.exp(1j * c * np.abs(x) ** 2) at
+# every size.
+_ELIDE_BYTES = 256 * 1024
+
+
 def _nlpn_steps(x, cfg, noise_blocks):
     """The K-step recursion on x; noise_blocks yields the step noise as
-    arrays of consecutive steps, each of shape (steps,) + x.shape."""
+    _gaussian_parts arrays of consecutive steps, each of shape
+    (steps, 2) + x.shape.
+
+    Each step is x <- x * exp(1j * c * |x|^2) + noise, computed in three
+    buffers allocated once. The product goes to its own buffer: on a
+    1-element array an in-place complex multiply rounds differently. A 0-d
+    x gets the bits of the same symbol in a 1-element array. The noise
+    parts go straight into the real and imaginary parts of the sum: the
+    bits of adding complex_gaussian's noise, whose parts equal them because
+    rng.normal(0.0, s) computes 0.0 + s * z and so never returns -0.0.
+    """
     phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K  # rad per mW
-    out = x
+    out = x.copy()
+    theta = np.empty(x.shape)
+    rot = np.empty(x.shape, dtype=np.complex128)
+    prod = np.empty_like(rot)
+    factors = (rot, out) if rot.nbytes >= _ELIDE_BYTES else (out, rot)
     for block in noise_blocks:
-        for noise in block:
-            out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
-            out = out + noise
+        for re, im in block:
+            np.abs(out, out=theta)
+            np.square(theta, out=theta)
+            np.multiply(theta, phase_coeff, out=theta)
+            np.cos(theta, out=rot.real)
+            np.sin(theta, out=rot.imag)
+            np.multiply(*factors, out=prod)
+            np.add(prod.real, re, out=out.real)
+            np.add(prod.imag, im, out=out.imag)
     return out
 
 
@@ -108,15 +144,15 @@ def _nlpn_use(x, cfg, rng):
     _NLPN_DRAW_NORMALS normals."""
     step_var = cfg.sigma_sq_mw / cfg.K
     block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
-    blocks = (complex_gaussian(x.shape, step_var, rng, (min(block, cfg.K - k),)) for k in range(0, cfg.K, block))
+    blocks = (_gaussian_parts(x.shape, step_var, rng, (min(block, cfg.K - k),)) for k in range(0, cfg.K, block))
     return _nlpn_steps(x, cfg, blocks)
 
 
 def _nlpn_rows(x, cfg, rng):
     """A group of whole rows of a stacked input, all K steps of every row
     drawn at once: one (rows, K, 2, B) draw."""
-    noise = complex_gaussian(x.shape[1:], cfg.sigma_sq_mw / cfg.K, rng, (len(x), cfg.K))
-    return _nlpn_steps(x, cfg, [noise.swapaxes(0, 1)])
+    noise = _gaussian_parts(x.shape[1:], cfg.sigma_sq_mw / cfg.K, rng, (len(x), cfg.K))
+    return _nlpn_steps(x, cfg, [np.moveaxis(noise, 0, 2)])
 
 
 def nlpn(x, cfg, rng):

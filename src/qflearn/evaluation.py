@@ -39,6 +39,11 @@ from .transceiver import (
 )
 
 DEFAULT_CHUNK = 65_536
+# Rows per receiver forward pass over a large batch: one 65,536-row pass
+# holds about 120 MB of tape and runs out of cache. A row's output bits do
+# not depend on the pass size from about 80 rows up (16 messages), but below
+# that BLAS takes another kernel, so no pass is cut shorter than this.
+RECEIVE_ROWS = 4096
 
 
 def _chunks(total, chunk=DEFAULT_CHUNK):
@@ -49,6 +54,14 @@ def _chunks(total, chunk=DEFAULT_CHUNK):
     """
     for start in range(0, total, chunk):
         yield slice(start, min(start + chunk, total))
+
+
+def _receive_rows(rx, y):
+    """Receiver probabilities for every row of y, what receive(rx, y)
+    returns without its tape, from passes of RECEIVE_ROWS to
+    2 * RECEIVE_ROWS - 1 rows (one pass when y is shorter)."""
+    parts = np.array_split(y, max(len(y) // RECEIVE_ROWS, 1))
+    return np.concatenate([receive(rx, part)[0] for part in parts])
 
 
 def binomial_stderr(p_hat, n):
@@ -84,8 +97,7 @@ class ReceiverDetector:
         self.rx = rx
 
     def decide(self, y):
-        probs, _ = receive(self.rx, y)
-        return np.argmax(probs, axis=1)
+        return np.argmax(_receive_rows(self.rx, y), axis=1)
 
 
 class ExactAwgnDetector:
@@ -244,15 +256,6 @@ class ScoreSampleSet:
     def num_samples(self):
         return self.messages.size
 
-    @property
-    def num_params(self):
-        return self.jac.shape[2]
-
-    def score_norms_sq(self, sl=slice(None)):
-        """||s_k||^2 for a slice of samples."""
-        u = score_upstream(self.perturbations[sl], self.sigma_p_sq)
-        return _score_norms_sq(_gram_blocks(self.jac), self.messages[sl], u)
-
 
 def _gram_blocks(jac):
     """The 2x2 Gram block J[m] J[m]^T of every message, shape (M, 2, 2)."""
@@ -278,7 +281,7 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
     for sl in _chunks(num_samples):
         m = rng.integers(0, num_messages, size=sl.stop - sl.start)
         perturbed, perturbations[sl] = perturb(points[m], sigma_p_sq, rng)
-        probs, _ = receive(rx, propagate(real_to_complex(perturbed), channel_cfg, rng))
+        probs = _receive_rows(rx, propagate(real_to_complex(perturbed), channel_cfg, rng))
         messages[sl] = m
         raw_losses[sl] = cross_entropy_losses(probs, m)
     return ScoreSampleSet(
@@ -379,33 +382,6 @@ def score_coordinate_std(jac, sigma_p_sq):
     """
     second = (jac**2).sum(axis=1).mean(axis=0)  # (P,)
     return np.sqrt(2.0 / sigma_p_sq * second)
-
-
-def fisher_trace_exact(jac, sigma_p_sq):
-    """Closed-form E||score||^2 for the frozen-constellation factorization."""
-    return float(2.0 / sigma_p_sq * np.einsum("mcp,mcp->", jac, jac) / jac.shape[0])
-
-
-def fisher_trace_sampled(jac, sigma_p_sq, num_samples, rng):
-    """Monte Carlo E||score||^2 over uniform messages and fresh policy draws.
-
-    Returns (estimate, stderr).
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    gram = _gram_blocks(jac)
-    total = 0.0
-    total_sq = 0.0
-    for sl in _chunks(num_samples):
-        n = sl.stop - sl.start
-        m = rng.integers(0, jac.shape[0], size=n)
-        u = rng.normal(0.0, math.sqrt(2.0 / sigma_p_sq), size=(n, 2))
-        norms_sq = _score_norms_sq(gram, m, u)
-        total += float(norms_sq.sum())
-        total_sq += float((norms_sq**2).sum())
-    mean = total / num_samples
-    var = max(total_sq / num_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / num_samples)
 
 
 @dataclass

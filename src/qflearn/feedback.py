@@ -195,6 +195,12 @@ def distortion(losses, cfg):
     return float(np.mean(err * err))
 
 
+def linear_gain(losses, levels, var):
+    """The Bussgang gain g = Cov(l, Q(l)) / Var(l) of losses l and their
+    quantized values levels = Q(l), given var = Var(l) > 0."""
+    return float((np.mean(losses * levels) - losses.mean() * np.mean(levels)) / var)
+
+
 def bussgang_gain(losses, cfg):
     """Plug-in estimate of the linear gain g in Q(l) = g*l + w.
 
@@ -203,12 +209,11 @@ def bussgang_gain(losses, cfg):
     out-of-range values land in the end cells of the quantizer.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    mu = losses.mean()
     var = losses.var()
     if var <= 0.0:
         raise ValueError("zero-variance loss batch")
     q = quantize_value(losses, cfg)
-    g = float((np.mean(losses * q) - mu * np.mean(q)) / var)
+    g = linear_gain(losses, q, var)
     w = q - g * losses
     w_bar = abs(1.0 - 1.0 / 2 ** (cfg.q_bits - 1) - g)
     return BussgangEstimate(g=g, w_mean=float(w.mean()), w_var=float(w.var()), w_bar=w_bar)

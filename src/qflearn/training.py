@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rngstreams
 from .channels import BscConfig, propagate
-from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, bussgang_gain, feedback_roundtrip
+from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, feedback_roundtrip, linear_gain
 from .neuralnet import AdamConfig, adam_step
 from .transceiver import (
     build_receiver,
@@ -161,8 +161,9 @@ def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
     else:
         batch = feedback_roundtrip(losses, cfg.quantizer, cfg.bsc, rngs.feedback, cfg.clip_fraction)
         fed_back = batch.reconstructed
-        if not batch.stats.degenerate and batch.transformed.var() > 0.0:
-            g_estimate = bussgang_gain(batch.transformed, cfg.quantizer).g
+        var = batch.transformed.var()  # 0 for a degenerate batch, mapped to all zeros
+        if var > 0.0:
+            g_estimate = linear_gain(batch.transformed, batch.levels, var)
 
     grad = policy_gradient(tx, sent, w, fed_back, sigma_p_sq)
     adam_step(tx, grad, adam_cfg)

@@ -141,29 +141,41 @@ def test_nlpn_gamma_zero_matches_awgn_moments():
 
 
 def nlpn_per_step(x, cfg, rng):
-    """The recursion with one two_draw_gaussian draw per step: the reference
-    for the blocked noise draw in nlpn. A 2-d x is a stack of channel uses,
-    one per row, taken in row order."""
+    """The recursion as one expression per step with one two_draw_gaussian
+    draw per step: the reference for the blocked noise draw and the buffered
+    steps in nlpn. A 2-d x is a stack of channel uses, one per row, taken in
+    row order. A 0-d x runs as a 1-element array: on 0-d operands NumPy
+    switches to scalar arithmetic, which rounds |x|^2 and the complex
+    product differently."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim == 2:
         return np.array([nlpn_per_step(row, cfg, rng) for row in x]).reshape(x.shape)
     step_var = cfg.sigma_sq_mw / cfg.K
     phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K
-    out = x.copy()
+    out = np.atleast_1d(x).copy()
     for _ in range(cfg.K):
         out = out * np.exp(1j * phase_coeff * np.abs(out) ** 2)
         out = out + two_draw_gaussian(out.shape, step_var, rng)
-    return out
+    return out.reshape(x.shape)
+
+
+NLPN_DESK = dict(family=NLPN, P_dbm=0.0, gamma=1.27, L_km=5000.0, K=50)
+ELIDE_SYMBOLS = 256 * 1024 // 16  # complex128 symbols from which NumPy elides temporaries
 
 
 # Shapes on both sides of the draw cap at K = 50: all steps in one draw (1,
 # 64, and 8x8, a stack of 8 uses of 8), blocks of 4 steps with a last block
 # of 2 (CAP // 8), one step per draw (CAP // 2 + 1); 23x64 is a stack of
-# two full row groups and a partial one.
-@pytest.mark.parametrize("shape", [(1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,), (23, 64)])
+# two full row groups and a partial one. Then a 0-d use, one full row group
+# (10x64), and the two sides of NumPy's temporary elision, where the operand
+# order of the step's complex product changes.
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,), (23, 64), (), (10, 64), (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,)],
+)
 @pytest.mark.parametrize("sigma_sq_dbm", [-21.3, -np.inf])
 def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
-    cfg = ChannelConfig(family=NLPN, sigma_sq_dbm=sigma_sq_dbm, P_dbm=0.0, gamma=1.27, L_km=5000.0, K=50)
+    cfg = ChannelConfig(sigma_sq_dbm=sigma_sq_dbm, **NLPN_DESK)
     src = np.random.default_rng(14)
     x = 0.7 * (src.normal(size=shape) + 1j * src.normal(size=shape))
     rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
@@ -175,6 +187,29 @@ def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if sigma_sq_dbm == -np.inf:
         assert rng.bit_generator.state == start_state  # the noiseless path draws nothing
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (64,), (10, 64), (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,)])
+def test_nlpn_multi_radian_steps_match_per_step_recursion(shape):
+    """Symbols of 25 to 64 mW, so every step turns them by 3 to 8 radians
+    and cos/sin see several periods."""
+    cfg = ChannelConfig(sigma_sq_dbm=-10.0, **NLPN_DESK)
+    src = np.random.default_rng(20)
+    x = src.uniform(5.0, 8.0, shape) * np.exp(2j * np.pi * src.uniform(size=shape))
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    y = nlpn(x, cfg, rng)
+    assert y.tobytes() == nlpn_per_step(x, cfg, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_cos_sin_equal_complex_exp_of_imaginary_argument():
+    """The recursion builds exp(1j*theta) from np.cos and np.sin; the bits
+    match np.exp on this NumPy build, which the byte tests above rely on."""
+    theta = np.random.default_rng(22).uniform(0.0, 60.0, 200_000)
+    rot = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    assert rot.tobytes() == np.exp(1j * theta).tobytes()
 
 
 def test_nlpn_uneven_block_case_is_uneven():

@@ -1,6 +1,7 @@
 """Evaluation layer: SER estimators, ML baselines, score-moment machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,6 @@ from qflearn.evaluation import (
     detector_ser,
     estimate_ser,
     export_decision_regions_csv,
-    fisher_trace_exact,
-    fisher_trace_sampled,
     qam16,
     qam16_ser_closed_form,
     score_coordinate_std,
@@ -26,9 +25,17 @@ from qflearn.evaluation import (
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
+from qflearn.evaluation import RECEIVE_ROWS, _gram_blocks, _receive_rows, _score_norms_sq
 from qflearn.neuralnet import LINEAR, SOFTMAX, DenseLayer, DenseNetwork
 from qflearn.training import MetricsRecord, PHASE_RX, PHASE_TX
-from qflearn.transceiver import build_receiver, build_transmitter, constellation, real_to_complex, score_upstream
+from qflearn.transceiver import (
+    build_receiver,
+    build_transmitter,
+    constellation,
+    real_to_complex,
+    receive,
+    score_upstream,
+)
 
 CHANNEL = ChannelConfig(family=AWGN, sigma_sq_dbm=-21.3, P_dbm=-6.3)
 
@@ -151,6 +158,38 @@ def test_decision_regions_shapes_and_split():
     assert np.all(left == 1)
 
 
+@pytest.mark.parametrize("rows", [1, RECEIVE_ROWS - 1, RECEIVE_ROWS, RECEIVE_ROWS + 1, 3 * RECEIVE_ROWS + 5])
+def test_receive_rows_equals_one_receive_call(rows):
+    rx = build_receiver(16, np.random.default_rng(8))
+    src = np.random.default_rng(9)
+    y = 0.3 * (src.normal(size=rows) + 1j * src.normal(size=rows))
+    assert _receive_rows(rx, y).tobytes() == receive(rx, y)[0].tobytes()
+
+
+def test_decision_regions_equal_one_receive_call():
+    """A 91 x 91 grid (two row blocks): the labels are the argmax of one
+    receive call on every grid point."""
+    rx = build_receiver(16, np.random.default_rng(8))
+    grid = decision_regions(rx, (-0.5, 0.5), 91)
+    re, im = np.meshgrid(grid.re, grid.im, indexing="xy")
+    probs, _ = receive(rx, np.stack([re.ravel(), im.ravel()], axis=-1))
+    assert grid.labels.tobytes() == np.argmax(probs, axis=1).reshape(91, 91).tobytes()
+
+
+def test_collect_score_samples_holds_no_full_chunk_tape():
+    """A 65,536-sample chunk through one forward pass holds about 120 MB of
+    tape; in row blocks the call peaks far below that."""
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    tracemalloc.start()
+    try:
+        collect_score_samples(tx, rx, CHANNEL, 16, 65_536, np.random.default_rng(12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_decision_regions_validation():
     rx = build_receiver(4, np.random.default_rng(8))
     with pytest.raises(ValueError):
@@ -189,6 +228,13 @@ def small_samples():
     return collect_score_samples(tx, rx, CHANNEL, 16, 4000, np.random.default_rng(12))
 
 
+def score_norms_sq(samples):
+    """||s_k||^2 of every sample through the per-message Gram blocks, as
+    score_moments computes them."""
+    u = score_upstream(samples.perturbations, samples.sigma_p_sq)
+    return _score_norms_sq(_gram_blocks(samples.jac), samples.messages, u)
+
+
 def dense_scores(samples):
     """Materialize the (N, P) score matrix the long way for comparison."""
     u = 2.0 * samples.perturbations / samples.sigma_p_sq
@@ -201,7 +247,7 @@ def test_collect_score_samples_shapes(small_samples):
     assert s.messages.shape == (4000,)
     assert s.perturbations.shape == (4000, 2)
     assert s.raw_losses.shape == (4000,)
-    assert s.jac.shape == (16, 2, s.num_params)
+    assert s.jac.shape == (16, 2, build_transmitter(16, np.random.default_rng(10)).param_count())
     assert np.all(s.raw_losses > 0.0)
     assert s.sigma_p_sq == pytest.approx(CHANNEL.P_mw * 1e-3)
 
@@ -209,7 +255,7 @@ def test_collect_score_samples_shapes(small_samples):
 def test_score_norms_match_dense(small_samples):
     dense = dense_scores(small_samples)
     np.testing.assert_allclose(
-        small_samples.score_norms_sq(), np.sum(dense * dense, axis=1), rtol=1e-10
+        score_norms_sq(small_samples), np.sum(dense * dense, axis=1), rtol=1e-10
     )
 
 
@@ -283,16 +329,10 @@ def test_score_coordinate_std_matches_empirical(small_samples):
     ratio = empirical[mask] / exact[mask]
     assert np.quantile(ratio, 0.01) > 0.85
     assert np.quantile(ratio, 0.99) < 1.15
-
-
-def test_fisher_trace_exact_and_sampled_agree(small_samples):
-    s = small_samples
-    exact = fisher_trace_exact(s.jac, s.sigma_p_sq)
-    sampled, se = fisher_trace_sampled(s.jac, s.sigma_p_sq, 200_000, np.random.default_rng(14))
-    assert exact > 0.0
-    assert abs(sampled - exact) < 4.0 * se
-    # the collected samples are draws from the same policy
-    assert np.mean(s.score_norms_sq()) == pytest.approx(exact, rel=0.1)
+    # the collected samples are draws from the policy: E||s||^2 is the closed-form
+    # Fisher trace 2/sigma_p^2 * mean_m ||J[m]||_F^2, the sum of the squared stds
+    fisher_exact = float(2.0 / s.sigma_p_sq * np.einsum("mcp,mcp->", s.jac, s.jac) / s.jac.shape[0])
+    assert np.mean(score_norms_sq(s)) == pytest.approx(fisher_exact, rel=0.1)
 
 
 def test_verify_quantized_report_smoke(small_samples):
@@ -303,7 +343,7 @@ def test_verify_quantized_report_smoke(small_samples):
         assert 0.0 < rep.g_hat < 4.0
         # the variance bound uses the same-sample trace estimate
         assert rep.fisher_trace == pytest.approx(
-            float(np.mean(small_samples.score_norms_sq())), rel=1e-9
+            float(np.mean(score_norms_sq(small_samples))), rel=1e-9
         )
         assert rep.num_samples == small_samples.num_samples
         assert np.isfinite(rep.var_test) and np.isfinite(rep.var_bound)
