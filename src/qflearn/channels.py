@@ -66,24 +66,22 @@ def _gaussian_parts(shape, variance, rng, lead=()):
     return rng.normal(0.0, np.sqrt(variance / 2.0), lead + (2,) + shape)
 
 
-def complex_gaussian(shape, variance, rng, lead=()):
-    """Circularly-symmetric complex Gaussian samples with total variance
-    `variance`, of shape lead + shape, from one _gaussian_parts draw."""
-    z = _gaussian_parts(shape, variance, rng, lead).reshape(lead + (2, math.prod(shape)))
-    noise = 1j * z[..., 1, :]
-    noise += z[..., 0, :]  # in place: the same bits as re + 1j * im, one temporary fewer
-    return noise.reshape(lead + shape)
-
-
 def awgn(x, cfg, rng):
     """y = x + n with n circularly-symmetric Gaussian of total variance sigma^2.
 
     A 2-d x is a stack of channel uses: one (rows, 2, B) draw gives row i the
     noise a call on x[i] would get after calls on x[0], ..., x[i-1].
+
+    The noise parts go straight into the real and imaginary parts of y: the
+    bits of x + (re + 1j * im), because rng.normal(0.0, s) computes 0.0 + s * z
+    and so never returns -0.0.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    lead = x.shape[:1] if x.ndim > 1 else ()
-    return x + complex_gaussian(x.shape[len(lead):], cfg.sigma_sq_mw, rng, lead)
+    out = np.array(x, dtype=np.complex128)
+    lead = out.shape[:1] if out.ndim > 1 else ()
+    re, im = np.moveaxis(_gaussian_parts(out.shape[len(lead):], cfg.sigma_sq_mw, rng, lead), len(lead), 0)
+    out.real += re
+    out.imag += im
+    return out
 
 
 # Most normals one nlpn noise draw of a single channel use may hold (64 KB).
@@ -116,9 +114,8 @@ def _nlpn_steps(x, cfg, noise_blocks):
     buffers allocated once. The product goes to its own buffer: on a
     1-element array an in-place complex multiply rounds differently. A 0-d
     x gets the bits of the same symbol in a 1-element array. The noise
-    parts go straight into the real and imaginary parts of the sum: the
-    bits of adding complex_gaussian's noise, whose parts equal them because
-    rng.normal(0.0, s) computes 0.0 + s * z and so never returns -0.0.
+    parts go straight into the real and imaginary parts of the sum, as in
+    awgn.
     """
     phase_coeff = cfg.L_km * cfg.gamma * 1e-3 / cfg.K  # rad per mW
     out = x.copy()
@@ -126,16 +123,18 @@ def _nlpn_steps(x, cfg, noise_blocks):
     rot = np.empty(x.shape, dtype=np.complex128)
     prod = np.empty_like(rot)
     factors = (rot, out) if rot.nbytes >= _ELIDE_BYTES else (out, rot)
+    rot_re, rot_im, prod_re, prod_im = rot.real, rot.imag, prod.real, prod.imag
+    out_re, out_im = out.real, out.imag
     for block in noise_blocks:
         for re, im in block:
             np.abs(out, out=theta)
             np.square(theta, out=theta)
             np.multiply(theta, phase_coeff, out=theta)
-            np.cos(theta, out=rot.real)
-            np.sin(theta, out=rot.imag)
+            np.cos(theta, out=rot_re)
+            np.sin(theta, out=rot_im)
             np.multiply(*factors, out=prod)
-            np.add(prod.real, re, out=out.real)
-            np.add(prod.imag, im, out=out.imag)
+            np.add(prod_re, re, out=out_re)
+            np.add(prod_im, im, out=out_im)
     return out
 
 
