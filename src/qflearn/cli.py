@@ -1,8 +1,10 @@
 """Experiment runner: JSON configs in, figure-data artifacts out.
 
 Subcommands: train, ser-sweep, decision-regions, verify, bussgang. Every
-output file is reproducible byte-for-byte from (config, seed); CSVs carry a
-comment line recording the sha256 of the effective config and the seed.
+output file is reproducible byte-for-byte from (config, seed): each command
+builds its networks from them and writes, but never reads back, the network
+files. CSVs carry a comment line recording the sha256 of the effective
+config and the seed.
 Config schema is versioned and strict: unknown keys are errors.
 """
 
@@ -19,19 +21,19 @@ from .channels import AWGN, BscConfig, ChannelConfig
 from .evaluation import (
     ExactAwgnDetector,
     SampledNlpnDetector,
+    check_grid,
     collect_score_samples,
     decision_regions,
     detector_ser,
     estimate_ser,
-    export_decision_regions_csv,
     qam16,
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
 from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
-from .neuralnet import load_network, save_network
-from .training import TrainingConfig, TrainState, advance, train, write_metrics_csv
-from .transceiver import constellation, export_constellation_csv
+from .neuralnet import save_network
+from .training import TrainingConfig, TrainState, advance, train, write_csv, write_metrics_csv
+from .transceiver import constellation
 
 CONFIG_SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QFLEARN_OUTPUT_DIR"
@@ -110,6 +112,14 @@ def _build(cls, section_cfg, section, **extra):
         raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
+def _list(section_cfg, key, default, section):
+    """A list config entry; a string is rejected, not split into characters."""
+    value = section_cfg.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"invalid {section} config: {key} must be a list")
+    return value
+
+
 def _count(section_cfg, key, default, section):
     """A positive integer config entry (a sample or symbol count)."""
     value = _coerce(int, section_cfg.get(key, default), section, key)
@@ -140,9 +150,10 @@ def load_config(path):
         raise ConfigError(f"unsupported schema_version {version!r}; this build expects {CONFIG_SCHEMA_VERSION}")
     if not isinstance(_require(cfg, "seed", "config"), int):
         raise ConfigError("seed must be an integer")
-    _check_keys(_require(cfg, "channel", "config"), _CHANNEL_KEYS, "channel")
-    _check_keys(_require(cfg, "training", "config"), _TRAINING_KEYS, "training")
+    # build_channel and build_training require these two; bussgang reads neither.
     for section, keys in (
+        ("channel", _CHANNEL_KEYS),
+        ("training", _TRAINING_KEYS),
         ("quantizer", _QUANTIZER_KEYS),
         ("bsc", _BSC_KEYS),
         ("sweep", _SWEEP_KEYS),
@@ -163,7 +174,7 @@ def config_hash(cfg):
 
 
 def build_channel(cfg):
-    return _build(ChannelConfig, cfg["channel"], "channel")
+    return _build(ChannelConfig, _require(cfg, "channel", "config"), "channel")
 
 
 def build_training(cfg):
@@ -175,7 +186,7 @@ def build_training(cfg):
             feedback["clip_fraction"] = _coerce(float, qc["clip_fraction"], "quantizer", "clip_fraction")
     if "bsc" in cfg:
         feedback["bsc"] = _build(BscConfig, cfg["bsc"], "bsc")
-    return _build(TrainingConfig, cfg["training"], "training", **feedback)
+    return _build(TrainingConfig, _require(cfg, "training", "config"), "training", **feedback)
 
 
 def feedback_mode_label(training_cfg):
@@ -196,15 +207,32 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def write_constellation_csv(path, points):
+    """constellation.csv: one message_index,x_real,x_imag row per message, 1-based."""
+    rows = ((m, re, im) for m, (re, im) in enumerate(points, start=1))
+    write_csv(path, ("message_index", "x_real", "x_imag"), rows)
+
+
+def write_decision_regions_csv(path, grid, comments=()):
+    """decision_regions.csv: one re,im,message row per grid point, messages 1-based."""
+    rows = ((re, im, grid.labels[i, j] + 1) for i, im in enumerate(grid.im) for j, re in enumerate(grid.re))
+    write_csv(path, ("re", "im", "message"), rows, comments)
+
+
+def _save_networks(state, out_dir, suffix=""):
+    # Written, never read back: every command trains from (config, seed).
+    save_network(state.tx, os.path.join(out_dir, f"tx{suffix}.json"))
+    save_network(state.rx, os.path.join(out_dir, f"rx{suffix}.json"))
+
+
 def cmd_train(cfg, out_dir):
     channel = build_channel(cfg)
     training = build_training(cfg)
     result = train(training, channel, cfg["seed"])
-    save_network(result.tx, os.path.join(out_dir, "tx.json"))
-    save_network(result.rx, os.path.join(out_dir, "rx.json"))
+    _save_networks(result, out_dir)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), result.metrics, _comment_lines(cfg))
     points = constellation(result.tx, training.num_messages, channel.P_mw)
-    export_constellation_csv(os.path.join(out_dir, "constellation.csv"), points)
+    write_constellation_csv(os.path.join(out_dir, "constellation.csv"), points)
     final_ser = next((r.ser for r in reversed(result.metrics) if r.ser is not None), None)
     print(f"trained {training.num_iterations} outer iterations "
           f"({len(result.metrics)} gradient steps), feedback={feedback_mode_label(training)}")
@@ -214,17 +242,6 @@ def cmd_train(cfg, out_dir):
     return 0
 
 
-def _load_or_train(cfg, out_dir, channel, training):
-    tx_path = os.path.join(out_dir, "tx.json")
-    rx_path = os.path.join(out_dir, "rx.json")
-    if os.path.exists(tx_path) and os.path.exists(rx_path):
-        return load_network(tx_path), load_network(rx_path)
-    result = train(training, channel, cfg["seed"])
-    save_network(result.tx, tx_path)
-    save_network(result.rx, rx_path)
-    return result.tx, result.rx
-
-
 def cmd_ser_sweep(cfg, out_dir):
     if "sweep" not in cfg:
         raise ConfigError("ser-sweep requires a sweep section")
@@ -232,7 +249,8 @@ def cmd_ser_sweep(cfg, out_dir):
     parameter = _require(sweep, "parameter", "sweep")
     if parameter not in ("snr_db", "p_dbm"):
         raise ConfigError(f"sweep parameter must be 'snr_db' or 'p_dbm', got {parameter!r}")
-    values = _require(sweep, "values", "sweep")
+    _require(sweep, "values", "sweep")
+    values = _list(sweep, "values", None, "sweep")
     if not values:
         raise ConfigError("sweep values must be nonempty")
     num_symbols = _count(sweep, "num_symbols", 100_000, "sweep")
@@ -241,8 +259,8 @@ def cmd_ser_sweep(cfg, out_dir):
     channel = build_channel(cfg)
     training = build_training(cfg)
     mode = feedback_mode_label(training)
-    q_bits = training.quantizer.q_bits if training.quantizer else ""
-    flip_prob = training.bsc.flip_prob if training.bsc else ""
+    q_bits = training.quantizer.q_bits if training.quantizer else None
+    flip_prob = training.bsc.flip_prob if training.bsc else None
     seed = cfg["seed"]
     # The configured channel at each sweep point's signal power.
     powers = [_coerce(float, v, "sweep", "values") for v in values]
@@ -253,55 +271,35 @@ def cmd_ser_sweep(cfg, out_dir):
     except ValueError as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc
 
-    rows = []
     if parameter == "snr_db":
         # Train once at the configured operating point, evaluate each SNR by
         # re-normalizing the constellation to the corresponding power.
-        tx, rx = _load_or_train(cfg, out_dir, channel, training)
-        for idx, eval_channel in enumerate(point_channels):
-            rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx)
-            res = estimate_ser(tx, rx, eval_channel, training.num_messages, num_symbols, rng)
-            rows.append((eval_channel, res, idx))
-    else:
-        # One transceiver pair per power point, seeded by seed + index.
-        for idx, point_channel in enumerate(point_channels):
-            result = train(training, point_channel, seed + idx)
-            rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx)
-            res = estimate_ser(result.tx, result.rx, point_channel, training.num_messages, num_symbols, rng)
-            rows.append((point_channel, res, idx))
-
-    header = "snr_db,p_dbm,ser,stderr,num_symbols,feedback_mode,q_bits,flip_prob"
-    if include_ml:
-        header += ",qam16_ml_ser"
+        trained = train(training, channel, seed)
+        _save_networks(trained, out_dir)
+    columns = ("snr_db", "p_dbm", "ser", "stderr", "num_symbols", "feedback_mode", "q_bits", "flip_prob")
+    columns += ("qam16_ml_ser",) if include_ml else ()
+    rows = []
+    for idx, point_channel in enumerate(point_channels):
+        if parameter == "p_dbm":
+            # One transceiver pair per power point, seeded by seed + index.
+            trained = train(training, point_channel, seed + idx)
+        rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx)
+        res = estimate_ser(trained.tx, trained.rx, point_channel, training.num_messages, num_symbols, rng)
+        row = (res.snr_db, res.p_dbm, res.ser, res.stderr, res.num_symbols, mode, q_bits, flip_prob)
+        if include_ml:
+            baseline_points = qam16(point_channel.P_mw)
+            if point_channel.family == AWGN:
+                detector = ExactAwgnDetector(baseline_points)
+            else:
+                fit_rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx, 1)
+                detector = SampledNlpnDetector.fit(
+                    baseline_points, point_channel, fit_rng, draws_per_point=ml_draws
+                )
+            ml_rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx, 2)
+            row += (detector_ser(baseline_points, detector, point_channel, num_symbols, ml_rng).ser,)
+        rows.append(row)
     path = os.path.join(out_dir, "ser_sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for line in _comment_lines(cfg):
-            fh.write(f"# {line}\n")
-        for eval_channel, res, idx in rows:
-            cells = [
-                repr(float(res.snr_db)),
-                repr(float(res.p_dbm)),
-                repr(float(res.ser)),
-                repr(float(res.stderr)),
-                str(res.num_symbols),
-                mode,
-                str(q_bits),
-                str(flip_prob),
-            ]
-            if include_ml:
-                baseline_points = qam16(eval_channel.P_mw)
-                if eval_channel.family == AWGN:
-                    detector = ExactAwgnDetector(baseline_points)
-                else:
-                    fit_rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx, 1)
-                    detector = SampledNlpnDetector.fit(
-                        baseline_points, eval_channel, fit_rng, draws_per_point=ml_draws
-                    )
-                ml_rng = rngstreams.substream(seed, rngstreams.SWEEP_EVAL, idx, 2)
-                ml_res = detector_ser(baseline_points, detector, eval_channel, num_symbols, ml_rng)
-                cells.append(repr(ml_res.ser))
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, columns, rows, _comment_lines(cfg))
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
 
@@ -313,19 +311,20 @@ def cmd_decision_regions(cfg, out_dir):
     bounds = _require(grid_cfg, "bounds", "grid")
     resolution = _coerce(int, _require(grid_cfg, "resolution", "grid"), "grid", "resolution")
     if not (isinstance(bounds, list) and len(bounds) == 2):
-        raise ConfigError("grid bounds must be a [lo, hi] pair")
+        raise ConfigError("invalid grid config: bounds must be a [lo, hi] pair")
     bounds = tuple(_coerce(float, b, "grid", "bounds") for b in bounds)
+    try:
+        check_grid(bounds, resolution)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid config: {exc}") from exc
     channel = build_channel(cfg)
     training = build_training(cfg)
-    tx, rx = _load_or_train(cfg, out_dir, channel, training)
-    try:
-        grid = decision_regions(rx, bounds, resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = train(training, channel, cfg["seed"])
+    _save_networks(result, out_dir)
     path = os.path.join(out_dir, "decision_regions.csv")
-    export_decision_regions_csv(path, grid, _comment_lines(cfg))
-    points = constellation(tx, training.num_messages, channel.P_mw)
-    export_constellation_csv(os.path.join(out_dir, "constellation.csv"), points)
+    write_decision_regions_csv(path, decision_regions(result.rx, bounds, resolution), _comment_lines(cfg))
+    points = constellation(result.tx, training.num_messages, channel.P_mw)
+    write_constellation_csv(os.path.join(out_dir, "constellation.csv"), points)
     print(f"wrote {resolution}x{resolution} grid to {path}")
     return 0
 
@@ -354,11 +353,13 @@ def cmd_verify(cfg, out_dir):
     num_samples = _count(vf, "num_samples", 1_000_000, "verify")
     # Each q and p goes through its dataclass here, so a bad one fails before training.
     quantized_bits = [
-        _build(QuantizerConfig, {"q_bits": q}, "verify").q_bits for q in vf.get("quantized_bits", [1, 3, 5])
+        _build(QuantizerConfig, {"q_bits": q}, "verify").q_bits
+        for q in _list(vf, "quantized_bits", [1, 3, 5], "verify")
     ]
-    bitflip_bits = [_coerce(int, q, "verify", "bitflip_bits") for q in vf.get("bitflip_bits", [1, 2])]
+    bitflip_bits = [_coerce(int, q, "verify", "bitflip_bits") for q in _list(vf, "bitflip_bits", [1, 2], "verify")]
     flip_probs = [
-        _build(BscConfig, {"flip_prob": p}, "verify").flip_prob for p in vf.get("flip_probs", [0.1, 0.2, 0.3])
+        _build(BscConfig, {"flip_prob": p}, "verify").flip_prob
+        for p in _list(vf, "flip_probs", [0.1, 0.2, 0.3], "verify")
     ]
     bad = [q for q in bitflip_bits if q not in (1, 2)]
     if bad:
@@ -376,19 +377,12 @@ def cmd_verify(cfg, out_dir):
             f"1..num_iterations ({training.num_iterations})"
         )
 
-    tx_path = os.path.join(out_dir, "tx_snapshot.json")
-    rx_path = os.path.join(out_dir, "rx_snapshot.json")
-    if os.path.exists(tx_path) and os.path.exists(rx_path):
-        tx, rx = load_network(tx_path), load_network(rx_path)
-    else:
-        # Only the networks after snapshot_iter are measured, so train no further.
-        snapshot = advance(TrainState.start(training, cfg["seed"]), training, channel, snapshot_iter)
-        tx, rx = snapshot.tx, snapshot.rx
-        save_network(tx, tx_path)
-        save_network(rx, rx_path)
+    # Only the networks after snapshot_iter are measured, so train no further.
+    snapshot = advance(TrainState.start(training, cfg["seed"]), training, channel, snapshot_iter)
+    _save_networks(snapshot, out_dir, "_snapshot")
 
     rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY)
-    samples = collect_score_samples(tx, rx, channel, training.num_messages, num_samples, rng)
+    samples = collect_score_samples(snapshot.tx, snapshot.rx, channel, training.num_messages, num_samples, rng)
     quant_reports = verify_quantized_gradient_scaling(samples, quantized_bits, training.clip_fraction)
     flip_rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY, 1)
     flip_reports = verify_bitflip_gradient_scaling(
@@ -449,24 +443,26 @@ def cmd_bussgang(cfg, out_dir):
     """Bussgang gain of the fixed quantizer on synthetic Gaussian losses."""
     bg = cfg.get("bussgang", {})
     quantizers = [
-        _build(QuantizerConfig, {"q_bits": q}, "bussgang") for q in bg.get("q_bits", [1, 2, 3, 4, 5, 6, 8])
+        _build(QuantizerConfig, {"q_bits": q}, "bussgang")
+        for q in _list(bg, "q_bits", [1, 2, 3, 4, 5, 6, 8], "bussgang")
     ]
     loss_mean = _coerce(float, bg.get("loss_mean", 0.5), "bussgang", "loss_mean")
     loss_std = _coerce(float, bg.get("loss_std", 1.0 / math.sqrt(8.0 * math.pi)), "bussgang", "loss_std")
+    if not math.isfinite(loss_mean):
+        raise ConfigError("invalid bussgang config: loss_mean must be finite")
+    if not 0.0 < loss_std < math.inf:
+        raise ConfigError("invalid bussgang config: loss_std must be positive and finite")
     num_samples = _count(bg, "num_samples", 1_000_000, "bussgang")
     rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY, 2)
     losses = rng.normal(loss_mean, loss_std, size=num_samples)
+    rows = []
+    for qcfg in quantizers:
+        est = bussgang_gain(losses, qcfg)
+        closed_form = gaussian_one_bit_gain(loss_std**2) if qcfg.q_bits == 1 else None
+        rows.append((qcfg.q_bits, est.g, est.w_bar, est.w_mean, est.w_var, closed_form))
     path = os.path.join(out_dir, "bussgang.csv")
-    with open(path, "w") as fh:
-        fh.write("q_bits,g_hat,w_bar,w_mean,w_var,gaussian_one_bit_gain\n")
-        for line in _comment_lines(cfg):
-            fh.write(f"# {line}\n")
-        for qcfg in quantizers:
-            est = bussgang_gain(losses, qcfg)
-            closed_cell = repr(gaussian_one_bit_gain(loss_std**2)) if qcfg.q_bits == 1 else ""
-            fh.write(
-                f"{qcfg.q_bits},{est.g!r},{est.w_bar!r},{est.w_mean!r},{est.w_var!r},{closed_cell}\n"
-            )
+    columns = ("q_bits", "g_hat", "w_bar", "w_mean", "w_var", "gaussian_one_bit_gain")
+    write_csv(path, columns, rows, _comment_lines(cfg))
     print(f"wrote {len(quantizers)} rows to {path}")
     return 0
 
@@ -503,7 +499,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.iterations is not None:
+        if args.iterations is not None and "training" in cfg:
             cfg["training"]["num_iterations"] = args.iterations
         out_dir = cfg.get("output_dir", "out")
         if os.environ.get(OUTPUT_DIR_ENV):

@@ -201,34 +201,27 @@ class DecisionGrid:
     labels: np.ndarray  # (len(im), len(re)) message indices, 0-based
 
 
+def check_grid(bounds, resolution):
+    """Raise ValueError unless resolution >= 2 and bounds is a finite (lo, hi) with hi > lo."""
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2 per axis")
+    lo, hi = bounds
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("bounds must be finite with hi > lo")
+
+
 def decision_regions(rx, bounds, resolution):
     """Receiver argmax decision at every point of a square grid.
 
     bounds is (lo, hi) on both axes; resolution is points per axis (>= 2).
     labels[i, j] is the 0-based decision for re[j] + 1j*im[i].
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2 per axis")
-    lo, hi = bounds
-    if not hi > lo:
-        raise ValueError("bounds must satisfy hi > lo")
-    axis = np.linspace(lo, hi, resolution)
+    check_grid(bounds, resolution)
+    axis = np.linspace(*bounds, resolution)
     re_grid, im_grid = np.meshgrid(axis, axis, indexing="xy")
     flat = np.stack([re_grid.ravel(), im_grid.ravel()], axis=-1)
     labels = ReceiverDetector(rx).decide(flat).reshape(resolution, resolution)
     return DecisionGrid(re=axis, im=axis.copy(), labels=labels)
-
-
-def export_decision_regions_csv(path, grid, comments=()):
-    """Write grid decisions as re,im,message rows (message 1-based); comment
-    lines (leading '#') go directly under the header."""
-    with open(path, "w") as fh:
-        fh.write("re,im,message\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        for i, im in enumerate(grid.im):
-            for j, re in enumerate(grid.re):
-                fh.write(f"{float(re)!r},{float(im)!r},{grid.labels[i, j] + 1}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ training trajectory.
 import math
 from copy import deepcopy
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -241,49 +242,33 @@ def _format_cell(value):
     return str(value)
 
 
-def write_metrics_csv(path, metrics, comments=()):
-    """Write the metrics log as CSV, one row per gradient step.
-
-    Floats are repr-formatted so identical runs produce byte-identical
-    files; comment lines (leading '#') go directly under the header.
-    """
+def write_csv(path, columns, rows, comments=()):
+    """Write a CSV artifact: the header, one '# ' line per comment, then the rows. Floats are
+    repr(float(x)) so reruns are byte-identical; None is an empty cell; anything else is str(x)."""
     with open(path, "w") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for line in comments:
             fh.write(f"# {line}\n")
-        for rec in metrics:
-            cells = [
-                str(rec.outer_iter),
-                rec.phase,
-                str(rec.step),
-                _format_cell(rec.empirical_loss),
-                _format_cell(rec.grad_norm),
-                _format_cell(rec.g_estimate),
-                _format_cell(rec.ser),
-            ]
-            fh.write(",".join(cells) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_format_cell, row)) + "\n")
+
+
+def write_metrics_csv(path, metrics, comments=()):
+    """Write the metrics log as CSV, one row per gradient step."""
+    write_csv(path, METRICS_COLUMNS, map(attrgetter(*METRICS_COLUMNS), metrics), comments)
 
 
 def read_metrics_csv(path):
     """Inverse of write_metrics_csv; skips comment lines."""
-    records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ",".join(METRICS_COLUMNS):
             raise ValueError(f"unexpected metrics header: {header}")
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            records.append(
-                MetricsRecord(
-                    outer_iter=int(cells[0]),
-                    phase=cells[1],
-                    step=int(cells[2]),
-                    empirical_loss=float(cells[3]),
-                    grad_norm=float(cells[4]),
-                    g_estimate=float(cells[5]) if cells[5] else None,
-                    ser=float(cells[6]) if cells[6] else None,
-                )
+        rows = (line.rstrip("\n").split(",") for line in fh if line.strip() and not line.startswith("#"))
+        return [
+            # g_estimate and ser are empty cells where they were not measured
+            MetricsRecord(
+                int(outer), phase, int(step), float(loss), float(norm), *[float(c) if c else None for c in optional]
             )
-    return records
+            for outer, phase, step, loss, norm, *optional in rows
+        ]

@@ -195,10 +195,3 @@ def constellation_jacobian(net, num_messages, power_mw):
             backward(net, result.tape, grad_raw, out=jac[m, c])
     return result.symbols, jac
 
-
-def export_constellation_csv(path, points):
-    """Write constellation points as message_index,x_real,x_imag (1-based index)."""
-    with open(path, "w") as fh:
-        fh.write("message_index,x_real,x_imag\n")
-        for i, (re, im) in enumerate(points, start=1):
-            fh.write(f"{i},{float(re)!r},{float(im)!r}\n")

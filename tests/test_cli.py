@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -148,6 +149,9 @@ SECTION_COMMANDS = {
         ("verify", "snapshot_iter"),
         ("grid", "resolution"),
         ("bussgang", "num_samples"),
+        ("grid", "bounds"),
+        ("bussgang", "loss_mean"),
+        ("bussgang", "loss_std"),
     ],
 )
 def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, key):
@@ -156,7 +160,8 @@ def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, 
     cfg = base_config(out)
     if body is not None:
         cfg[section] = dict(body)
-    cfg[section][key] = float("-inf")
+    # bounds is a [lo, hi] pair; hi > lo still holds with lo = -Infinity
+    cfg[section][key] = [float("-inf"), 1.0] if key == "bounds" else float("-inf")
     assert main([command, write_config(tmp_path, cfg)]) == 2
     assert f"invalid {section} config" in capsys.readouterr().err
     assert not any(out.iterdir())  # rejected before any artifact is written
@@ -196,6 +201,10 @@ def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, m
         ("verify", "verify", {"snapshot_iter": 0}, "snapshot_iter 0 must lie in 1..num_iterations (1)"),
         ("verify", "verify", {"snapshot_iter": -1}, "snapshot_iter -1 must lie in 1..num_iterations (1)"),
         ("verify", "verify", {"snapshot_iter": 2}, "snapshot_iter 2 must lie in 1..num_iterations (1)"),
+        ("decision-regions", "grid", {"bounds": [-1.0, 1.0], "resolution": 1}, "resolution must be >= 2 per axis"),
+        ("decision-regions", "grid", {"bounds": [1.0, -1.0], "resolution": 5}, "bounds must be finite with hi > lo"),
+        ("bussgang", "bussgang", {"loss_std": -0.1, "num_samples": 1000}, "loss_std must be positive and finite"),
+        ("bussgang", "bussgang", {"loss_std": 0.0, "num_samples": 1000}, "loss_std must be positive and finite"),
     ],
 )
 def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, command, section, body, message):
@@ -205,6 +214,37 @@ def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, 
     assert f"invalid {section} config: {message}" in capsys.readouterr().err
     assert not (out / "tx.json").exists() and not (out / "tx_snapshot.json").exists()
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("sweep", "values"),
+        ("verify", "quantized_bits"),
+        ("verify", "bitflip_bits"),
+        ("verify", "flip_probs"),
+        ("bussgang", "q_bits"),
+    ],
+)
+def test_list_key_given_a_string_exits_2(tmp_path, capsys, section, key):
+    out = tmp_path / "out"
+    command, body = SECTION_COMMANDS[section]
+    cfg = base_config(out, **{section: dict(body, **{key: "15"})})
+    assert main([command, write_config(tmp_path, cfg)]) == 2
+    assert f"invalid {section} config: {key} must be a list" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_bussgang_needs_no_channel_or_training_section(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = {"schema_version": 1, "seed": 7, "output_dir": str(out), "bussgang": {"q_bits": [1], "num_samples": 1000}}
+    path = write_config(tmp_path, cfg)
+    assert main(["bussgang", path]) == 0
+    assert main(["bussgang", path, "--iterations", "3"]) == 0
+    assert (out / "bussgang.csv").exists()
+    cfg["channel"] = base_config(out)["channel"]
+    assert main(["train", write_config(tmp_path, cfg)]) == 2
+    assert "missing required key 'training' in config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("parameter", ["snr_db", "p_dbm"])
@@ -367,6 +407,45 @@ def test_decision_regions_artifact(tmp_path):
     messages = {int(l.split(",")[2]) for l in data}
     assert messages <= set(range(1, 17))
     assert (out / "constellation.csv").exists()
+
+
+# Commands that train their own networks: the section each one needs, the
+# suffix of the network files it writes, and a command that leaves such files.
+NETWORK_COMMANDS = {
+    "decision-regions": ({"grid": {"bounds": [-1.0, 1.0], "resolution": 5}}, "", "train"),
+    "ser-sweep": ({"sweep": {"parameter": "snr_db", "values": [15.0], "num_symbols": 1000}}, "", "train"),
+    "verify": (
+        {"verify": {"num_samples": 2000, "quantized_bits": [1], "bitflip_bits": [1], "flip_probs": [0.1]}},
+        "_snapshot",
+        "verify",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NETWORK_COMMANDS))
+def test_networks_left_by_another_seed_are_not_reused(tmp_path, command):
+    out = tmp_path / "out"
+    sections, suffix, stale_command = NETWORK_COMMANDS[command]
+    cfg_path = write_config(tmp_path, base_config(out, **sections))
+    fresh_code = main([command, cfg_path])
+    fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert f"tx{suffix}.json" in fresh
+    shutil.rmtree(out)
+    assert main([stale_command, cfg_path, "--seed", "8"]) in (0, 1)
+    assert (out / f"tx{suffix}.json").read_bytes() != fresh[f"tx{suffix}.json"]
+    assert main([command, cfg_path]) == fresh_code
+    assert {name: (out / name).read_bytes() for name in fresh} == fresh
+
+
+@pytest.mark.parametrize("command", sorted(NETWORK_COMMANDS))
+def test_garbage_network_file_is_overwritten(tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    sections, suffix, _ = NETWORK_COMMANDS[command]
+    for name in (f"tx{suffix}.json", f"rx{suffix}.json"):
+        (out / name).write_text("{not json")
+    assert main([command, write_config(tmp_path, base_config(out, **sections))]) in (0, 1)
+    assert json.loads((out / f"tx{suffix}.json").read_text())["layers"]
 
 
 def test_verify_rejects_wide_bitflip_quantizer(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qflearn.channels import AWGN, NLPN, ChannelConfig
+from qflearn.cli import write_decision_regions_csv
 from qflearn.evaluation import (
     ExactAwgnDetector,
     ReceiverDetector,
@@ -17,7 +18,6 @@ from qflearn.evaluation import (
     decision_regions,
     detector_ser,
     estimate_ser,
-    export_decision_regions_csv,
     qam16,
     qam16_ser_closed_form,
     score_coordinate_std,
@@ -196,6 +196,8 @@ def test_decision_regions_validation():
         decision_regions(rx, (1.0, -1.0), 10)
     with pytest.raises(ValueError):
         decision_regions(rx, (-1.0, 1.0), 1)
+    with pytest.raises(ValueError):
+        decision_regions(rx, (-math.inf, 1.0), 10)
 
 
 def test_export_decision_regions_csv(tmp_path):
@@ -204,7 +206,7 @@ def test_export_decision_regions_csv(tmp_path):
     )
     grid = decision_regions(rx, (-1.0, 1.0), 2)
     path = tmp_path / "regions.csv"
-    export_decision_regions_csv(str(path), grid)
+    write_decision_regions_csv(str(path), grid)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "re,im,message"
     assert len(lines) == 5
@@ -212,7 +214,7 @@ def test_export_decision_regions_csv(tmp_path):
     assert lines[1] == "-1.0,-1.0,2"
     assert lines[2] == "1.0,-1.0,1"
     # comment lines go directly under the header, the rows are unchanged
-    export_decision_regions_csv(str(path), grid, comments=("a=1", "b"))
+    write_decision_regions_csv(str(path), grid, comments=("a=1", "b"))
     commented = path.read_text().strip().split("\n")
     assert commented == [lines[0], "# a=1", "# b", *lines[1:]]
 

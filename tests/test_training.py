@@ -23,6 +23,7 @@ from qflearn.training import (
     receiver_step,
     train,
     transmitter_step,
+    write_csv,
     write_metrics_csv,
 )
 from qflearn.transceiver import (
@@ -335,6 +336,16 @@ def test_metrics_csv_is_plain_ascii_floats(tmp_path):
     body = path.read_text()
     assert "np.float64" not in body
     assert "nan" not in body.lower()
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        (None, np.float64(1 / 3), np.int64(3), 0.1, "x"),
+        (7, 1e-300, None, np.float64(-0.0), ""),
+    ]
+    write_csv(str(path), ("a", "b", "c", "d", "e"), rows, comments=("k=v",))
+    assert path.read_text() == "a,b,c,d,e\n# k=v\n,0.3333333333333333,3,0.1,x\n7,1e-300,,-0.0,\n"
 
 
 def test_pure_noise_feedback_destroys_the_learning_signal():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qflearn.cli import write_constellation_csv
 from qflearn.neuralnet import forward
 from qflearn.transceiver import (
     RX_HIDDEN,
@@ -13,7 +14,6 @@ from qflearn.transceiver import (
     constellation,
     constellation_jacobian,
     cross_entropy_losses,
-    export_constellation_csv,
     normalization_backward,
     one_hot,
     perturb,
@@ -279,7 +279,7 @@ def test_transmit_rejects_zero_batch():
 def test_export_constellation_csv(tmp_path, tx):
     points = constellation(tx, 16, 0.2344)
     path = tmp_path / "constellation.csv"
-    export_constellation_csv(str(path), points)
+    write_constellation_csv(str(path), points)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "message_index,x_real,x_imag"
     assert len(lines) == 17
