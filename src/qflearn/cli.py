@@ -135,6 +135,12 @@ def _reject_non_finite(literal):
     return -math.inf
 
 
+def _check_seed(seed):
+    # bool is an int subclass, and every substream needs a seed >= 0.
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def load_config(path):
     """Read and validate an experiment config; returns the raw dict."""
     if not os.path.exists(path):
@@ -148,8 +154,7 @@ def load_config(path):
     version = _require(cfg, "schema_version", "config")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; this build expects {CONFIG_SCHEMA_VERSION}")
-    if not isinstance(_require(cfg, "seed", "config"), int):
-        raise ConfigError("seed must be an integer")
+    _check_seed(_require(cfg, "seed", "config"))
     # build_channel and build_training require these two; bussgang reads neither.
     for section, keys in (
         ("channel", _CHANNEL_KEYS),
@@ -254,7 +259,9 @@ def cmd_ser_sweep(cfg, out_dir):
     if not values:
         raise ConfigError("sweep values must be nonempty")
     num_symbols = _count(sweep, "num_symbols", 100_000, "sweep")
-    include_ml = bool(sweep.get("include_qam16_ml", False))
+    include_ml = sweep.get("include_qam16_ml", False)
+    if not isinstance(include_ml, bool):
+        raise ConfigError("invalid sweep config: include_qam16_ml must be true or false")
     ml_draws = _count(sweep, "ml_draws_per_point", 100_000, "sweep")
     channel = build_channel(cfg)
     training = build_training(cfg)
@@ -498,6 +505,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            _check_seed(args.seed)
             cfg["seed"] = args.seed
         if args.iterations is not None and "training" in cfg:
             cfg["training"]["num_iterations"] = args.iterations

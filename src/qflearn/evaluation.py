@@ -21,8 +21,8 @@ from .channels import propagate
 from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
+    bits_to_indices,
     bussgang_gain,
-    dequantize,
     preprocess,
     quantize,
     quantize_value,
@@ -568,13 +568,16 @@ def verify_bitflip_gradient_scaling(
         cfg = QuantizerConfig(q)
         weights[f"q{q}"], bits = quantize(pre, cfg)
         for p in flip_probs:
-            acc = np.zeros_like(pre)
+            index_sum = np.zeros(pre.shape, dtype=np.int64)
             for draw in range(flip_draws):
-                dequant = dequantize(bits ^ (rng.random(bits.shape) < p), cfg)
+                indices = bits_to_indices(bits ^ (rng.random(bits.shape) < p), cfg)
                 if draw == 0 and q == 1:
-                    weights[f"ev_q{q}_p{p}"] = dequant
-                acc += dequant
-            weights[f"e_q{q}_p{p}"] = acc / flip_draws
+                    weights[f"ev_q{q}_p{p}"] = cfg.reconstruct(indices)
+                index_sum += indices
+            # The level of the mean index is the mean of the levels. The
+            # levels are dyadic, so for a power-of-two flip_draws it carries
+            # the bits of summing the dequantized draws.
+            weights[f"e_q{q}_p{p}"] = cfg.reconstruct(index_sum / flip_draws)
     moments = score_moments(sample_set, weights)
     fisher, fisher_se = _fisher_trace(moments)
     reports = {}

@@ -134,8 +134,16 @@ class ParameterGradient:
     layers: list  # per-layer (dW, db) views into flat
 
     def norm(self):
-        # Summed layer by layer, so the logged grad_norm keeps its last bits.
-        return float(np.sqrt(sum(float((dw * dw).sum() + (db * db).sum()) for dw, db in self.layers)))
+        # Summed segment by segment, weights then biases of each layer, so the
+        # logged grad_norm keeps the bits of a per-array sum.
+        sq = self.flat * self.flat
+        total, start = 0.0, 0
+        for dw, db in self.layers:
+            mid = start + dw.size
+            end = mid + db.size
+            total += float(np.add.reduce(sq[start:mid]) + np.add.reduce(sq[mid:end]))
+            start = end
+        return float(np.sqrt(total))
 
 
 def glorot_init(dims, activations, rng):
@@ -150,13 +158,6 @@ def glorot_init(dims, activations, rng):
     return DenseNetwork(layers)
 
 
-def _softmax(z):
-    # Max-subtraction keeps exp() in range for |logit| up to ~700.
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def forward(net, x):
     """Evaluate the network on x of shape (d,) or (B, d).
 
@@ -165,16 +166,20 @@ def forward(net, x):
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    a = np.atleast_2d(x)
+    a = x.reshape(1, -1) if x.ndim < 2 else x  # np.atleast_2d, without its call overhead
     if a.shape[1] != net.in_dim:
         raise ValueError(f"input width {a.shape[1]} != network in_dim {net.in_dim}")
     tape = []
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+        z = a @ layer.weights.T
+        z += layer.biases
         if layer.activation == RELU:
             out = np.maximum(z, 0.0)
         elif layer.activation == SOFTMAX:
-            out = _softmax(z)
+            # Max-subtraction keeps exp() in range for |logit| up to ~700.
+            out = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+            np.exp(out, out=out)
+            out /= np.add.reduce(out, axis=-1, keepdims=True)
         else:
             out = z
         tape.append((a, z, out))
@@ -191,7 +196,8 @@ def backward(net, tape, output_grad, out=None):
     """
     if len(tape) != len(net.layers):
         raise ValueError("tape does not match network depth")
-    g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
+    g = np.asarray(output_grad, dtype=np.float64)
+    g = g.reshape(1, -1) if g.ndim < 2 else g
     if g.shape != tape[-1][2].shape:
         raise ValueError("output_grad shape does not match the taped forward pass")
     flat = np.empty(net.params.size) if out is None else out
@@ -205,7 +211,7 @@ def backward(net, tape, output_grad, out=None):
             dz = g * (z > 0.0)
         elif act == SOFTMAX:
             # Full softmax Jacobian: dz = q * (g - sum(q * g)).
-            dz = a_out * (g - (a_out * g).sum(axis=1, keepdims=True))
+            dz = a_out * (g - np.add.reduce(a_out * g, axis=1, keepdims=True))
         else:
             dz = g
         dw, db = grad.layers[i]
@@ -227,11 +233,23 @@ def adam_step(net, grad, cfg):
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     m, v = net.adam_m, net.adam_v
+    # Two scratch vectors hold every temporary; each operation rounds as in
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # params -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
+    step = np.multiply(g, 1.0 - b1)
     m *= b1
-    m += (1.0 - b1) * g
+    m += step
+    den = np.multiply(g, 1.0 - b2)
+    den *= g
     v *= b2
-    v += (1.0 - b2) * g * g
-    net.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.epsilon)
+    v += den
+    np.divide(m, corr1, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, corr2, out=den)
+    np.sqrt(den, out=den)
+    den += cfg.epsilon
+    step /= den
+    net.params -= step
     if not np.isfinite(net.params).all():
         raise ValueError("non-finite parameters after update")
     return net

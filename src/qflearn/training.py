@@ -18,7 +18,7 @@ import numpy as np
 from . import rngstreams
 from .channels import BscConfig, propagate
 from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, feedback_roundtrip, linear_gain
-from .neuralnet import AdamConfig, adam_step
+from .neuralnet import AdamConfig, adam_step, forward
 from .transceiver import (
     build_receiver,
     build_transmitter,
@@ -26,6 +26,7 @@ from .transceiver import (
     exploration_variance,
     perturb,
     policy_gradient,
+    power_scale,
     real_to_complex,
     receive,
     receiver_gradient,
@@ -137,7 +138,7 @@ def receiver_step(rx, messages, received, adam_cfg):
     losses = cross_entropy_losses(probs, messages)
     grad = receiver_gradient(rx, tape, probs, messages)
     adam_step(rx, grad, adam_cfg)
-    return float(losses.mean()), grad.norm()
+    return float(np.add.reduce(losses) / losses.size), grad.norm()
 
 
 def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
@@ -168,7 +169,7 @@ def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
 
     grad = policy_gradient(tx, sent, w, fed_back, sigma_p_sq)
     adam_step(tx, grad, adam_cfg)
-    return float(losses.mean()), grad.norm(), g_estimate
+    return float(np.add.reduce(losses) / losses.size), grad.norm(), g_estimate
 
 
 def _located(state, phase, step, fn, *args):
@@ -179,20 +180,17 @@ def _located(state, phase, step, fn, *args):
         raise ValueError(f"outer iteration {state.outer}, {phase} step {step}: {exc}") from exc
 
 
-def _receiver_batch(state, cfg, channel_cfg):
-    """A fresh uniform message batch and the frozen transmitter's unperturbed
-    normalized symbols for it, as (messages, (B, 2) symbols)."""
-    messages = state.rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_rx)
-    return messages, transmit(state.tx, messages, cfg.num_messages, channel_cfg.P_mw).symbols
-
-
 def advance(state, cfg, channel_cfg, n):
     """Run n more outer iterations on state in place and return it.
 
     The transmitter is frozen for the whole receiver phase, so the phase's
     N_R batches are drawn and encoded first and cross the channel in one
     stacked propagate call; each receiver step then consumes its own row.
-    The channel draws the same noise as one call per step would.
+    The channel draws the same noise as one call per step would. The
+    encoding is one transmitter forward on the M-row identity per phase:
+    a batch's raw outputs are that table's rows for its messages, with the
+    bits a forward of the batch itself gives from 2 rows up (a 1-row pass
+    takes another BLAS kernel; README, "Reproducibility").
 
     The SER estimate rides on the last tx row of every ser_every-th outer
     iteration and of outer iteration cfg.num_iterations. It draws only from
@@ -207,11 +205,15 @@ def advance(state, cfg, channel_cfg, n):
     # this module's names sees every step.
     rx_adam, tx_adam = AdamConfig(learning_rate=cfg.lr_rx), AdamConfig(learning_rate=cfg.lr_tx)
     rx_steps = range(1, cfg.n_rx_steps + 1)
+    identity = np.eye(cfg.num_messages)
     for _ in range(n):
         state.outer += 1
-        batches = [_located(state, PHASE_RX, step, _receiver_batch, state, cfg, channel_cfg) for step in rx_steps]
-        messages, symbols = zip(*batches)
-        received = propagate(real_to_complex(np.stack(symbols)), channel_cfg, state.rngs.channel)
+        table, _ = forward(state.tx, identity)
+        messages = [state.rngs.messages.integers(0, cfg.num_messages, size=cfg.batch_rx) for _ in rx_steps]
+        symbols = table[np.stack(messages)]  # (N_R, B, 2) raw outputs until scaled in place
+        for step, batch in zip(rx_steps, symbols):
+            batch *= _located(state, PHASE_RX, step, power_scale, batch, channel_cfg.P_mw)
+        received = propagate(real_to_complex(symbols), channel_cfg, state.rngs.channel)
         for step, m, y in zip(rx_steps, messages, received):
             record = _located(state, PHASE_RX, step, receiver_step, state.rx, m, y, rx_adam)
             state.metrics.append(MetricsRecord(state.outer, PHASE_RX, step, *record))

@@ -46,19 +46,25 @@ def one_hot(messages, num_messages):
         raise ValueError("messages must be a 1-d array of indices")
     if messages.size and (messages.min() < 0 or messages.max() >= num_messages):
         raise ValueError("message index out of range")
-    out = np.zeros((messages.size, num_messages))
-    out[np.arange(messages.size), messages] = 1.0
-    return out
+    return np.eye(num_messages).take(messages, axis=0)
 
 
 def real_to_complex(x):
-    x = np.asarray(x)
-    return x[..., 0] + 1j * x[..., 1]
+    """Complex view of real pairs (..., 2), no copy when x is contiguous float64.
+
+    For finite x it has the bits of x[..., 0] + 1j*x[..., 1] up to the sign
+    of a zero; a NaN or inf part stays in its own component.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape[-1:] != (2,):
+        raise ValueError("real pairs need a last axis of length 2")
+    return x.view(np.complex128)[..., 0]
 
 
 def complex_to_real(z):
-    z = np.asarray(z)
-    return np.stack([z.real, z.imag], axis=-1)
+    """Real-pair view (..., 2) of complex z, no copy when z is contiguous complex128."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.view(np.float64).reshape(z.shape + (2,))
 
 
 @dataclass
@@ -72,16 +78,21 @@ class TransmitResult:
 def transmit(net, messages, num_messages, power_mw):
     """Encode messages and normalize the batch to average power power_mw.
 
-    The scale is sqrt(P*B / sum_k ||r_k||^2), so (1/B) sum ||x_k||^2 equals
+    The scale comes from power_scale, so (1/B) sum ||x_k||^2 equals
     power_mw exactly for every batch.
     """
-    onehot = one_hot(messages, num_messages)
-    raw, tape = forward(net, onehot)
-    s2 = float(np.sum(raw * raw))
+    raw, tape = forward(net, one_hot(messages, num_messages))
+    scale = power_scale(raw, power_mw)
+    return TransmitResult(symbols=scale * raw, raw=raw, scale=scale, tape=tape)
+
+
+def power_scale(raw, power_mw):
+    """The batch power normalization: the scale sqrt(P*B / sum_k ||r_k||^2)
+    that takes raw transmitter outputs (B, 2) to average power power_mw."""
+    s2 = float(np.add.reduce(raw * raw, axis=None))
     if s2 <= 0.0:
         raise ValueError("transmitter produced an all-zero batch; cannot normalize")
-    scale = float(np.sqrt(power_mw * raw.shape[0] / s2))
-    return TransmitResult(symbols=scale * raw, raw=raw, scale=scale, tape=tape)
+    return float(np.sqrt(power_mw * raw.shape[0] / s2))
 
 
 def normalization_backward(grad_symbols, raw, scale):
@@ -91,8 +102,8 @@ def normalization_backward(grad_symbols, raw, scale):
       G_r[j] = c * G_x[j] - (c / S2) * (sum_k G_x[k] . r_k) * r[j]
     The second term is the batch coupling through the shared scale.
     """
-    s2 = float(np.sum(raw * raw))
-    dot = float(np.sum(grad_symbols * raw))
+    s2 = float(np.add.reduce(raw * raw, axis=None))
+    dot = float(np.add.reduce(grad_symbols * raw, axis=None))
     return scale * grad_symbols - (scale * dot / s2) * raw
 
 
@@ -126,7 +137,6 @@ def receive(net, received):
 
     Accepts complex (B,) or real (B, 2) input. Returns (probs, tape).
     """
-    received = np.asarray(received)
     if np.iscomplexobj(received):
         received = complex_to_real(received)
     return forward(net, received)

@@ -88,6 +88,32 @@ def test_non_integer_seed_rejected(tmp_path):
     assert main(["train", write_config(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_seed_that_is_not_a_non_negative_integer_rejected(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["seed"] = seed
+    assert main(["train", write_config(tmp_path, cfg)]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", write_config(tmp_path, base_config(out)), "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_include_qam16_ml_must_be_a_json_boolean(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    sweep = {"parameter": "snr_db", "values": [15.0], "num_symbols": 100, "include_qam16_ml": value}
+    assert main(["ser-sweep", write_config(tmp_path, base_config(out, sweep=sweep))]) == 2
+    assert "invalid sweep config: include_qam16_ml must be true or false" in capsys.readouterr().err
+    assert not any(out.iterdir())  # rejected before training
+
+
 def test_bsc_without_quantizer_rejected(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["bsc"] = {"flip_prob": 0.1}

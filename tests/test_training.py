@@ -210,10 +210,13 @@ ORACLE_MODES = {
     "q1_bsc": dict(quantizer=QuantizerConfig(1), bsc=BscConfig(flip_prob=0.1)),
 }
 # At K = 50, 23 receiver batches of 64 make two full row groups of 10 and a
-# partial one in the stacked channel call.
+# partial one in the stacked channel call. Two-row batches of 8 messages are
+# the smallest that a transmitter forward of the batch encodes with the bits
+# of the identity table advance gathers from.
 ORACLE_SIZES = {
     "small": dict(num_iterations=4, ser_every=2),
     "desk_rx": dict(num_iterations=2, n_rx_steps=23, batch_rx=64, ser_every=1),
+    "two_rows": dict(num_iterations=2, num_messages=8, batch_rx=2, batch_tx=2, ser_every=1),
 }
 
 
@@ -221,8 +224,10 @@ ORACLE_SIZES = {
 @pytest.mark.parametrize("channel", [CHANNEL, NLPN_CHANNEL], ids=["awgn", "nlpn"])
 @pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
 def test_advance_equals_per_step_receiver_loop(mode, channel, size):
-    """Stacking the receiver phase into one channel call moves no bit: params,
-    Adam m/v/t, all seven generator states and the metrics rows match."""
+    """Encoding the receiver phase from one identity-table forward and stacking
+    it into one channel call moves no bit against per-step transmit and
+    propagate calls: params, Adam m/v/t, all seven generator states and the
+    metrics rows match."""
     cfg = small_config(**ORACLE_SIZES[size], **ORACLE_MODES[mode])
     stacked = advance(TrainState.start(cfg, seed=23), cfg, channel, cfg.num_iterations)
     per_step = per_step_advance(TrainState.start(cfg, seed=23), cfg, channel, cfg.num_iterations)

@@ -68,6 +68,35 @@ def test_complex_real_roundtrip():
     np.testing.assert_array_equal(complex_to_real(real_to_complex(x)), x)
 
 
+def test_view_conversions_equal_the_arithmetic_forms():
+    """The views carry the bits of the arithmetic forms they replace and copy nothing."""
+    rng = np.random.default_rng(41)
+    for shape in ((7,), (5, 64), (3, 4, 9)):
+        x = rng.normal(size=shape + (2,))
+        z = real_to_complex(x)
+        assert z.tobytes() == (x[..., 0] + 1j * x[..., 1]).tobytes()
+        assert np.shares_memory(z, x)
+        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        r = complex_to_real(w)
+        assert r.tobytes() == np.stack([w.real, w.imag], axis=-1).tobytes()
+        assert np.shares_memory(r, w)
+
+
+@pytest.mark.parametrize("num_messages", [8, 16])
+@pytest.mark.parametrize("batch", [2, 16, 64, 100])
+def test_transmitter_rows_equal_identity_table_rows(num_messages, batch):
+    """A transmitter output row depends only on its message, to the bit, for
+    any batch of 2 or more rows: the table one identity forward gives is the
+    encoding of every batch."""
+    net = build_transmitter(num_messages, np.random.default_rng(num_messages))
+    table, _ = forward(net, np.eye(num_messages))
+    rng = np.random.default_rng(batch)
+    for _ in range(5):
+        messages = rng.integers(0, num_messages, size=batch)
+        sent = transmit(net, messages, num_messages, 0.5)
+        assert sent.raw.tobytes() == table[messages].tobytes()
+
+
 def test_transmit_normalizes_batch_power_exactly(tx):
     rng = np.random.default_rng(0)
     messages = rng.integers(0, 16, size=64)
