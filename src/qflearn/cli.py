@@ -88,11 +88,14 @@ def _require(mapping, key, context):
 
 
 def _coerce(kind, value, section, key):
-    """kind(value) for an int or float config entry; a value that does not
-    convert (a list, a word, -Infinity for an int) is a config error."""
+    """kind(value) for an int or float config entry. An int entry takes only a
+    JSON integer, a float entry any JSON number; a bool, a string, a list, a
+    fraction or -Infinity for an int is a config error."""
     try:
+        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(-Infinity)
+    except (TypeError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ConfigError(f"invalid {section} config: {key}: {exc}") from exc
 
 

@@ -242,7 +242,6 @@ class ScoreSampleSet:
     perturbations: np.ndarray  # (N, 2) exploration noise actually applied
     raw_losses: np.ndarray  # (N,) receiver cross-entropy per sample
     jac: np.ndarray  # (M, 2, P) constellation Jacobian
-    points: np.ndarray  # (M, 2) constellation
     sigma_p_sq: float
 
     @property
@@ -282,7 +281,6 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
         perturbations=perturbations,
         raw_losses=raw_losses,
         jac=jac,
-        points=points,
         sigma_p_sq=sigma_p_sq,
     )
 

@@ -6,8 +6,10 @@ Inputs may be single vectors of shape (d,) or mini-batches of shape (B, d);
 all batch handling is ordinary numpy broadcasting.
 """
 
+import copy
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,127 +37,72 @@ class AdamConfig:
             raise ValueError("Adam learning_rate and epsilon must be positive and finite")
 
 
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out_dim, in_dim)
-    biases: np.ndarray  # (out_dim,)
-    activation: str
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise ValueError("weights must be a matrix and biases a vector")
-        if self.weights.shape[0] != self.biases.shape[0]:
-            raise ValueError("bias length must equal the weight row count")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def in_dim(self):
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.weights.shape[0]
-
-
 class DenseNetwork:
-    """Ordered dense layers over one contiguous float64 parameter vector.
+    """Dense layers as one static layout over a contiguous float64 parameter vector.
 
-    params holds, layer by layer, the row-major weights then the biases;
-    each layer's weights and biases are views into it, so update them in
-    place (rebinding one detaches it). The Adam moments adam_m and adam_v
-    are flat vectors with the same layout.
+    params holds, layer by layer, the row-major weights then the biases. layout
+    has one (weights slice, biases slice, (out_dim, in_dim), activation) entry
+    per layer; it applies to any vector laid out like params: the Adam moments
+    adam_m and adam_v, and every gradient backward returns.
     """
 
-    def __init__(self, layers):
-        if not layers:
-            raise ValueError("network needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
-        for layer in layers[:-1]:
-            if layer.activation == SOFTMAX:
-                raise ValueError("softmax is only allowed as the final layer")
-        self._layout = []  # per layer: (weights start, biases start, end, weight shape)
-        pos = 0
-        for l in layers:
-            w_end = pos + l.weights.size
-            self._layout.append((pos, w_end, w_end + l.out_dim, l.weights.shape))
-            pos = w_end + l.out_dim
-        self.params = np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in layers])
-        self.layers = [
-            DenseLayer(w, b, l.activation) for l, (w, b) in zip(layers, self.views(self.params))
-        ]
-        self.adam_m = np.zeros_like(self.params)
-        self.adam_v = np.zeros_like(self.params)
+    def __init__(self, dims, activations, params=None):
+        dims = tuple(operator.index(d) for d in dims)
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"network needs at least one layer of positive dims, got {dims}")
+        if len(activations) != len(dims) - 1:
+            raise ValueError("need one activation per layer")
+        if any(act not in _ACTIVATIONS for act in activations):
+            raise ValueError(f"unknown activation in {activations!r}")
+        if SOFTMAX in activations[:-1]:
+            raise ValueError("softmax is only allowed as the final layer")
+        layout, pos = [], 0
+        for d_in, d_out, act in zip(dims, dims[1:], activations):
+            w_end = pos + d_out * d_in
+            layout.append((slice(pos, w_end), slice(w_end, w_end + d_out), (d_out, d_in), act))
+            pos = w_end + d_out
+        self.layout = tuple(layout)
+        self.params = np.zeros(pos) if params is None else np.array(params, dtype=np.float64)
+        if self.params.shape != (pos,):
+            raise ValueError(f"parameter vector has shape {self.params.shape}, the layout needs ({pos},)")
+        self.adam_m = np.zeros(pos)
+        self.adam_v = np.zeros(pos)
         self.adam_t = 0
-
-    def views(self, flat):
-        """Per-layer (weights, biases) views into a vector laid out like params."""
-        return [(flat[w0:b0].reshape(shape), flat[b0:end]) for w0, b0, end, shape in self._layout]
 
     @property
     def in_dim(self):
-        return self.layers[0].in_dim
+        return self.layout[0][2][1]
 
     @property
     def out_dim(self):
-        return self.layers[-1].out_dim
-
-    def param_count(self):
-        return self.params.size
-
-    def flatten_params(self):
-        return self.params.copy()
-
-    def set_flat_params(self, flat):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.params.shape:
-            raise ValueError("flat parameter vector has the wrong length")
-        self.params[...] = flat
+        return self.layout[-1][2][0]
 
     def copy(self):
-        net = DenseNetwork(self.layers)
-        net.adam_m = self.adam_m.copy()
-        net.adam_v = self.adam_v.copy()
-        net.adam_t = self.adam_t
+        net = copy.copy(self)  # shares the immutable layout
+        net.params, net.adam_m, net.adam_v = self.params.copy(), self.adam_m.copy(), self.adam_v.copy()
         return net
 
 
-@dataclass
-class ParameterGradient:
-    """A gradient laid out like its network's params, with per-layer views."""
+def gradient_norm(net, grad):
+    """Euclidean norm of a flat gradient laid out like net.params.
 
-    flat: np.ndarray  # (param_count,)
-    layers: list  # per-layer (dW, db) views into flat
-
-    def norm(self):
-        # Summed segment by segment, weights then biases of each layer, so the
-        # logged grad_norm keeps the bits of a per-array sum.
-        sq = self.flat * self.flat
-        total, start = 0.0, 0
-        for dw, db in self.layers:
-            mid = start + dw.size
-            end = mid + db.size
-            total += float(np.add.reduce(sq[start:mid]) + np.add.reduce(sq[mid:end]))
-            start = end
-        return float(np.sqrt(total))
+    Summed segment by segment, weights then biases of each layer, so the
+    logged grad_norm keeps the bits of a per-array sum.
+    """
+    sq = grad * grad
+    total = 0.0
+    for w, b, _, _ in net.layout:
+        total += float(np.add.reduce(sq[w]) + np.add.reduce(sq[b]))
+    return float(np.sqrt(total))
 
 
 def glorot_init(dims, activations, rng):
     """Build a network with uniform Glorot weights and zero biases."""
-    if len(activations) != len(dims) - 1:
-        raise ValueError("need one activation per layer")
-    layers = []
-    for d_in, d_out, act in zip(dims, dims[1:], activations):
+    net = DenseNetwork(dims, activations)
+    for w, _, (d_out, d_in), _ in net.layout:
         bound = np.sqrt(6.0 / (d_in + d_out))
-        w = rng.uniform(-bound, bound, size=(d_out, d_in))
-        layers.append(DenseLayer(w, np.zeros(d_out), act))
-    return DenseNetwork(layers)
+        net.params[w] = rng.uniform(-bound, bound, size=d_out * d_in)
+    return net
 
 
 def forward(net, x):
@@ -169,13 +116,14 @@ def forward(net, x):
     a = x.reshape(1, -1) if x.ndim < 2 else x  # np.atleast_2d, without its call overhead
     if a.shape[1] != net.in_dim:
         raise ValueError(f"input width {a.shape[1]} != network in_dim {net.in_dim}")
+    params = net.params
     tape = []
-    for layer in net.layers:
-        z = a @ layer.weights.T
-        z += layer.biases
-        if layer.activation == RELU:
+    for w, b, shape, act in net.layout:
+        z = a @ params[w].reshape(shape).T
+        z += params[b]
+        if act == RELU:
             out = np.maximum(z, 0.0)
-        elif layer.activation == SOFTMAX:
+        elif act == SOFTMAX:
             # Max-subtraction keeps exp() in range for |logit| up to ~700.
             out = z - np.maximum.reduce(z, axis=-1, keepdims=True)
             np.exp(out, out=out)
@@ -191,22 +139,22 @@ def backward(net, tape, output_grad, out=None):
     """Backpropagate d(scalar)/d(output) through the tape.
 
     output_grad has the same shape as the forward output; for a batched tape
-    the returned ParameterGradient is the sum over the batch rows. Its flat
-    vector is `out` (contiguous float64, overwritten) when given.
+    the gradient is the sum over the batch rows. Returns the flat gradient in
+    the layout of net.params: `out` (contiguous float64, overwritten) when
+    given, else a new vector.
     """
-    if len(tape) != len(net.layers):
+    if len(tape) != len(net.layout):
         raise ValueError("tape does not match network depth")
     g = np.asarray(output_grad, dtype=np.float64)
     g = g.reshape(1, -1) if g.ndim < 2 else g
     if g.shape != tape[-1][2].shape:
         raise ValueError("output_grad shape does not match the taped forward pass")
     flat = np.empty(net.params.size) if out is None else out
-    grad = ParameterGradient(flat, net.views(flat))
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(len(tape) - 1, -1, -1):
+        w, b, shape, act = net.layout[i]
         a_in, z, a_out = tape[i]
-        if a_in.shape[1] != net.layers[i].in_dim:
+        if a_in.shape[1] != shape[1]:
             raise ValueError("stale tape: layer input width mismatch")
-        act = net.layers[i].activation
         if act == RELU:
             dz = g * (z > 0.0)
         elif act == SOFTMAX:
@@ -214,17 +162,15 @@ def backward(net, tape, output_grad, out=None):
             dz = a_out * (g - np.add.reduce(a_out * g, axis=1, keepdims=True))
         else:
             dz = g
-        dw, db = grad.layers[i]
-        np.matmul(dz.T, a_in, out=dw)
-        np.add.reduce(dz, axis=0, out=db)
+        np.matmul(dz.T, a_in, out=flat[w].reshape(shape))
+        np.add.reduce(dz, axis=0, out=flat[b])
         if i:  # nothing consumes the gradient at the network input
-            g = dz @ net.layers[i].weights
-    return grad
+            g = dz @ net.params[w].reshape(shape)
+    return flat
 
 
-def adam_step(net, grad, cfg):
-    """Apply one bias-corrected Adam update in place."""
-    g = grad.flat
+def adam_step(net, g, cfg):
+    """Apply one bias-corrected Adam update in place, from a flat gradient g."""
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
     net.adam_t += 1
@@ -261,27 +207,39 @@ def network_to_dict(net):
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "layers": [
             {
-                "in_dim": l.in_dim,
-                "out_dim": l.out_dim,
-                "activation": l.activation,
-                "weights": l.weights.ravel().tolist(),  # row-major (out_dim x in_dim)
-                "biases": l.biases.tolist(),
+                "in_dim": d_in,
+                "out_dim": d_out,
+                "activation": act,
+                "weights": net.params[w].tolist(),  # row-major (out_dim x in_dim)
+                "biases": net.params[b].tolist(),
             }
-            for l in net.layers
+            for w, b, (d_out, d_in), act in net.layout
         ],
     }
 
 
 def network_from_dict(doc):
+    """The network a checkpoint dict describes; ValueError if it is malformed."""
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError("unsupported checkpoint schema version")
-    layers = []
-    for spec in doc["layers"]:
-        w = np.array(spec["weights"], dtype=np.float64).reshape(
-            spec["out_dim"], spec["in_dim"]
-        )
-        layers.append(DenseLayer(w, np.array(spec["biases"]), spec["activation"]))
-    return DenseNetwork(layers)
+    try:
+        specs = doc["layers"]
+        for prev, nxt in zip(specs, specs[1:]):
+            if prev["out_dim"] != nxt["in_dim"]:
+                raise ValueError(f"layer dims do not chain: {prev['out_dim']} -> {nxt['in_dim']}")
+        dims = [specs[0]["in_dim"]] + [spec["out_dim"] for spec in specs]
+        net = DenseNetwork(dims, [spec["activation"] for spec in specs])
+        for spec, (w, b, _, _) in zip(specs, net.layout):
+            for key, part in (("weights", w), ("biases", b)):
+                values = np.asarray(spec[key], dtype=np.float64)
+                if values.shape != net.params[part].shape:
+                    raise ValueError(f"{key} of shape {values.shape}, the layer dims need {net.params[part].shape}")
+                net.params[part] = values
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint: {exc!r}") from exc
+    if not np.isfinite(net.params).all():
+        raise ValueError("non-finite parameter in checkpoint")
+    return net
 
 
 def save_network(net, path):

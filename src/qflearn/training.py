@@ -18,7 +18,7 @@ import numpy as np
 from . import rngstreams
 from .channels import BscConfig, propagate
 from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, feedback_roundtrip, linear_gain
-from .neuralnet import AdamConfig, adam_step, forward
+from .neuralnet import AdamConfig, adam_step, forward, gradient_norm
 from .transceiver import (
     build_receiver,
     build_transmitter,
@@ -138,7 +138,7 @@ def receiver_step(rx, messages, received, adam_cfg):
     losses = cross_entropy_losses(probs, messages)
     grad = receiver_gradient(rx, tape, probs, messages)
     adam_step(rx, grad, adam_cfg)
-    return float(np.add.reduce(losses) / losses.size), grad.norm()
+    return float(np.add.reduce(losses) / losses.size), gradient_norm(rx, grad)
 
 
 def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
@@ -169,7 +169,7 @@ def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
 
     grad = policy_gradient(tx, sent, w, fed_back, sigma_p_sq)
     adam_step(tx, grad, adam_cfg)
-    return float(np.add.reduce(losses) / losses.size), grad.norm(), g_estimate
+    return float(np.add.reduce(losses) / losses.size), gradient_norm(tx, grad), g_estimate
 
 
 def _located(state, phase, step, fn, *args):

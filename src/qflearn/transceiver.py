@@ -16,7 +16,6 @@ from .neuralnet import (
     LINEAR,
     RELU,
     SOFTMAX,
-    DenseNetwork,
     backward,
     forward,
     glorot_init,
@@ -196,7 +195,7 @@ def constellation_jacobian(net, num_messages, power_mw):
     studies affordable without storing per-sample parameter vectors.
     """
     result = transmit(net, np.arange(num_messages), num_messages, power_mw)
-    jac = np.empty((num_messages, 2, net.param_count()))
+    jac = np.empty((num_messages, 2, net.params.size))
     for m in range(num_messages):
         for c in range(2):
             grad_x = np.zeros_like(result.symbols)

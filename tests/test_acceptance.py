@@ -67,7 +67,7 @@ def test_criterion_01_gradient_engine_matches_finite_differences():
         x = rng.normal(size=(4, net.in_dim))
         probe = rng.normal(size=(net.out_dim,))
         analytic, _ = scalar_probe_gradient(net, x, probe)
-        for index in rng.choice(net.param_count(), size=4, replace=False):
+        for index in rng.choice(net.params.size, size=4, replace=False):
             fd = finite_difference(net, x, probe, int(index))
             scale = max(abs(fd), abs(analytic[index]), 1e-8)
             worst = max(worst, abs(fd - analytic[index]) / scale)

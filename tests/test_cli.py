@@ -162,32 +162,54 @@ SECTION_COMMANDS = {
 }
 
 
+def _minus_infinity(section, key):
+    return pytest.param(section, key, float("-inf"), id=f"{section}-{key}")
+
+
+def _wrong_type(section, key, value):
+    return pytest.param(section, key, value, id=f"{section}-{key}-{value!r}")
+
+
 @pytest.mark.parametrize(
-    "section, key",
+    "section, key, value",
     [
-        ("channel", "P_dbm"),
-        ("channel", "K"),
-        ("training", "num_iterations"),
-        ("training", "lr_tx"),
-        ("quantizer", "q_bits"),
-        ("sweep", "num_symbols"),
-        ("verify", "num_samples"),
-        ("verify", "snapshot_iter"),
-        ("grid", "resolution"),
-        ("bussgang", "num_samples"),
-        ("grid", "bounds"),
-        ("bussgang", "loss_mean"),
-        ("bussgang", "loss_std"),
+        _minus_infinity("channel", "P_dbm"),
+        _minus_infinity("channel", "K"),
+        _minus_infinity("training", "num_iterations"),
+        _minus_infinity("training", "lr_tx"),
+        _minus_infinity("quantizer", "q_bits"),
+        _minus_infinity("sweep", "num_symbols"),
+        _minus_infinity("verify", "num_samples"),
+        _minus_infinity("verify", "snapshot_iter"),
+        _minus_infinity("grid", "resolution"),
+        _minus_infinity("bussgang", "num_samples"),
+        _minus_infinity("grid", "bounds"),
+        _minus_infinity("bussgang", "loss_mean"),
+        _minus_infinity("bussgang", "loss_std"),
+        # an int entry takes only a JSON integer, a float entry any JSON number
+        _wrong_type("training", "num_iterations", 2.9),
+        _wrong_type("training", "n_rx_steps", True),
+        _wrong_type("training", "batch_tx", "15"),
+        _wrong_type("channel", "K", 2.0),
+        _wrong_type("quantizer", "q_bits", 1.5),
+        _wrong_type("sweep", "num_symbols", "15"),
+        _wrong_type("verify", "snapshot_iter", True),
+        _wrong_type("grid", "resolution", 2.9),
+        _wrong_type("bussgang", "num_samples", True),
+        _wrong_type("training", "lr_tx", True),
+        _wrong_type("channel", "P_dbm", "15"),
+        _wrong_type("bussgang", "loss_std", False),
+        _wrong_type("channel", "sigma_sq_dbm", None),
     ],
 )
-def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, key):
+def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, key, value):
     out = tmp_path / "out"
     command, body = SECTION_COMMANDS[section]
     cfg = base_config(out)
     if body is not None:
         cfg[section] = dict(body)
     # bounds is a [lo, hi] pair; hi > lo still holds with lo = -Infinity
-    cfg[section][key] = [float("-inf"), 1.0] if key == "bounds" else float("-inf")
+    cfg[section][key] = [value, 1.0] if key == "bounds" else value
     assert main([command, write_config(tmp_path, cfg)]) == 2
     assert f"invalid {section} config" in capsys.readouterr().err
     assert not any(out.iterdir())  # rejected before any artifact is written

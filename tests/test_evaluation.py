@@ -26,7 +26,7 @@ from qflearn.evaluation import (
     verify_quantized_gradient_scaling,
 )
 from qflearn.evaluation import RECEIVE_ROWS, _gram_blocks, _receive_rows, _score_norms_sq
-from qflearn.neuralnet import LINEAR, SOFTMAX, DenseLayer, DenseNetwork
+from qflearn.neuralnet import LINEAR, SOFTMAX, DenseNetwork
 from qflearn.training import MetricsRecord, PHASE_RX, PHASE_TX
 from qflearn.transceiver import (
     build_receiver,
@@ -52,8 +52,8 @@ def test_estimate_ser_uniform_posterior_receiver():
     """A constant receiver always decides message 0, so SER is (M-1)/M."""
     tx = build_transmitter(16, np.random.default_rng(1))
     rx = build_receiver(16, np.random.default_rng(2))
-    for layer in rx.layers:
-        layer.weights[...] = 0.0
+    for w, _, _, _ in rx.layout:
+        rx.params[w] = 0.0
     res = estimate_ser(tx, rx, CHANNEL, 16, 20_000, np.random.default_rng(3))
     assert res.ser == pytest.approx(15.0 / 16.0, abs=4.0 * binomial_stderr(15 / 16, 20_000))
     assert res.num_errors == round(res.ser * res.num_symbols)
@@ -146,9 +146,7 @@ def test_sampled_nlpn_detector_agrees_with_exact_on_linear_channel():
 
 def test_decision_regions_shapes_and_split():
     # logits [re, -re]: message 0 right of the imaginary axis, 1 left of it
-    rx = DenseNetwork(
-        [DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2), SOFTMAX)]
-    )
+    rx = DenseNetwork([2, 2], [SOFTMAX], [1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     grid = decision_regions(rx, (-1.0, 1.0), 21)
     assert grid.labels.shape == (21, 21)
     assert grid.re[0] == -1.0 and grid.re[-1] == 1.0
@@ -201,9 +199,7 @@ def test_decision_regions_validation():
 
 
 def test_export_decision_regions_csv(tmp_path):
-    rx = DenseNetwork(
-        [DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2), SOFTMAX)]
-    )
+    rx = DenseNetwork([2, 2], [SOFTMAX], [1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     grid = decision_regions(rx, (-1.0, 1.0), 2)
     path = tmp_path / "regions.csv"
     write_decision_regions_csv(str(path), grid)
@@ -249,7 +245,7 @@ def test_collect_score_samples_shapes(small_samples):
     assert s.messages.shape == (4000,)
     assert s.perturbations.shape == (4000, 2)
     assert s.raw_losses.shape == (4000,)
-    assert s.jac.shape == (16, 2, build_transmitter(16, np.random.default_rng(10)).param_count())
+    assert s.jac.shape == (16, 2, build_transmitter(16, np.random.default_rng(10)).params.size)
     assert np.all(s.raw_losses > 0.0)
     assert s.sigma_p_sq == pytest.approx(CHANNEL.P_mw * 1e-3)
 

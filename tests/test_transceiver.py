@@ -38,9 +38,9 @@ def rx():
 
 
 def test_architectures(tx, rx):
-    assert [l.out_dim for l in tx.layers] == [*TX_HIDDEN, 2]
+    assert [d_out for _, _, (d_out, _), _ in tx.layout] == [*TX_HIDDEN, 2]
     assert tx.in_dim == 16
-    assert [l.out_dim for l in rx.layers] == [*RX_HIDDEN, 16]
+    assert [d_out for _, _, (d_out, _), _ in rx.layout] == [*RX_HIDDEN, 16]
     assert rx.in_dim == 2
 
 
@@ -196,19 +196,19 @@ def test_receiver_gradient_matches_finite_differences(rx):
     y = rng.normal(size=(16, 2))
     messages = rng.integers(0, 16, size=16)
     probs, tape = receive(rx, y)
-    grad = receiver_gradient(rx, tape, probs, messages).flat
+    grad = receiver_gradient(rx, tape, probs, messages)
 
-    flat = rx.flatten_params()
+    flat = rx.params.copy()
     h = 1e-6
-    for index in rng.choice(rx.param_count(), size=12, replace=False):
+    for index in rng.choice(rx.params.size, size=12, replace=False):
         bumped = flat.copy()
         bumped[index] += h
-        rx.set_flat_params(bumped)
+        rx.params[:] = bumped
         up = float(np.mean(cross_entropy_losses(receive(rx, y)[0], messages)))
         bumped[index] -= 2 * h
-        rx.set_flat_params(bumped)
+        rx.params[:] = bumped
         down = float(np.mean(cross_entropy_losses(receive(rx, y)[0], messages)))
-        rx.set_flat_params(flat)
+        rx.params[:] = flat
         fd = (up - down) / (2 * h)
         scale = max(abs(fd), abs(grad[index]), 1e-10)
         assert abs(fd - grad[index]) / scale < 1e-5
@@ -229,7 +229,7 @@ def test_policy_gradient_matches_surrogate_finite_differences(tx):
     result = transmit(tx, messages, 16, power)
     perturbed, w = perturb(result.symbols, sigma_p_sq, rng)
     losses = rng.uniform(0.1, 2.0, size=batch)
-    grad = policy_gradient(tx, result, w, losses, sigma_p_sq).flat
+    grad = policy_gradient(tx, result, w, losses, sigma_p_sq)
 
     def surrogate():
         res = transmit(tx, messages, 16, power)
@@ -237,18 +237,18 @@ def test_policy_gradient_matches_surrogate_finite_differences(tx):
         sq = np.sum((perturbed - res.symbols) ** 2, axis=1)
         return float(np.mean(losses * (-sq / sigma_p_sq)))
 
-    flat = tx.flatten_params()
+    flat = tx.params.copy()
     h = 1e-6
     worst = 0.0
-    for index in rng.choice(tx.param_count(), size=15, replace=False):
+    for index in rng.choice(tx.params.size, size=15, replace=False):
         bumped = flat.copy()
         bumped[index] += h
-        tx.set_flat_params(bumped)
+        tx.params[:] = bumped
         up = surrogate()
         bumped[index] -= 2 * h
-        tx.set_flat_params(bumped)
+        tx.params[:] = bumped
         down = surrogate()
-        tx.set_flat_params(flat)
+        tx.params[:] = flat
         fd = (up - down) / (2 * h)
         scale = max(abs(fd), abs(grad[index]), 1e-10)
         worst = max(worst, abs(fd - grad[index]) / scale)
@@ -264,19 +264,19 @@ def test_constellation_matches_transmit(tx):
 
 def test_constellation_jacobian_matches_finite_differences(tx):
     points, jac = constellation_jacobian(tx, 16, 0.2344)
-    assert jac.shape == (16, 2, tx.param_count())
+    assert jac.shape == (16, 2, tx.params.size)
     rng = np.random.default_rng(8)
-    flat = tx.flatten_params()
+    flat = tx.params.copy()
     h = 1e-6
-    for index in rng.choice(tx.param_count(), size=6, replace=False):
+    for index in rng.choice(tx.params.size, size=6, replace=False):
         bumped = flat.copy()
         bumped[index] += h
-        tx.set_flat_params(bumped)
+        tx.params[:] = bumped
         up = constellation(tx, 16, 0.2344)
         bumped[index] -= 2 * h
-        tx.set_flat_params(bumped)
+        tx.params[:] = bumped
         down = constellation(tx, 16, 0.2344)
-        tx.set_flat_params(flat)
+        tx.params[:] = flat
         fd = (up - down) / (2 * h)
         np.testing.assert_allclose(jac[:, :, index], fd, atol=1e-5)
 
@@ -290,7 +290,7 @@ def test_constellation_jacobian_reproduces_policy_gradient(tx):
     result = transmit(tx, np.arange(16), 16, 0.2344)
     w = rng.normal(0.0, np.sqrt(sigma_p_sq / 2.0), size=(16, 2))
     losses = rng.uniform(0.0, 1.0, size=16)
-    direct = policy_gradient(tx, result, w, losses, sigma_p_sq).flat
+    direct = policy_gradient(tx, result, w, losses, sigma_p_sq)
     _, jac = constellation_jacobian(tx, 16, 0.2344)
     upstream = losses[:, None] * score_upstream(w, sigma_p_sq) / 16.0
     via_jac = np.einsum("mcp,mc->p", jac, upstream)
@@ -299,8 +299,8 @@ def test_constellation_jacobian_reproduces_policy_gradient(tx):
 
 def test_transmit_rejects_zero_batch():
     zero_tx = build_transmitter(4, np.random.default_rng(10))
-    for layer in zero_tx.layers:
-        layer.weights[...] = 0.0
+    for w, _, _, _ in zero_tx.layout:
+        zero_tx.params[w] = 0.0
     with pytest.raises(ValueError):
         transmit(zero_tx, np.array([0, 1]), 4, 1.0)
 
