@@ -112,44 +112,103 @@ class ExactAwgnDetector:
         return np.argmin(d2, axis=1)
 
 
-class SampledNlpnDetector:
-    """Likelihood tables fitted from channel draws, for channels without a
-    tractable density.
+# Radii within this relative distance share a ring table: a rotated
+# constellation's ring members can differ in |x| by an ulp.
+RING_RTOL = 1e-12
 
-    For each constellation point the conditional density of y is estimated
-    on a common 2-d histogram grid (with add-one smoothing so no cell has
-    zero likelihood); detection picks the argmax table value at y's cell.
-    Observations outside the grid clamp to the edge cells.
+
+def _rings(radii):
+    """Each radius's ring index, and each ring's radius (that of its first
+    member), rings numbered in order of first appearance."""
+    ring_radii, ring_of = [], []
+    for r in radii:
+        for k, ring_r in enumerate(ring_radii):
+            if abs(r - ring_r) <= RING_RTOL * max(r, ring_r):
+                break
+        else:
+            k = len(ring_radii)
+            ring_radii.append(r)
+        ring_of.append(k)
+    return ring_of, ring_radii
+
+
+class SampledNlpnDetector:
+    """Likelihood tables fitted from channel draws, for the NLPN channel,
+    whose density has no closed form.
+
+    The NLPN channel is rotation-covariant: its phase shift depends only on
+    |x| and its circular noise is rotation-invariant, so
+    p(y | x) = p(y * conj(x) / |x| | |x| + 0j). One table per ring (distinct
+    |x|) therefore serves every point on it. A ring's table estimates the
+    density of y given the real point |x| + 0j on a common square 2-d
+    histogram grid, with add-one smoothing so no cell has zero likelihood.
+    Detection rotates y into each point's frame and picks the point whose
+    ring table is largest at the rotated y's cell (lowest index wins ties).
+    Observations outside the grid clamp to the edge cells. A point at the
+    origin is its own frame: its ring is circularly symmetric.
     """
 
-    def __init__(self, points, log_density, re_edges, im_edges):
+    def __init__(self, points, ring_of, log_density, edges):
         self.points = np.asarray(points, dtype=np.complex128)
-        self.log_density = log_density  # (M, bins, bins)
-        self.re_edges = re_edges
-        self.im_edges = im_edges
+        self.ring_of = ring_of  # each point's table
+        self.log_density = log_density  # (rings, bins, bins)
+        self.edges = edges  # (bins + 1,) on both axes
+        radii = np.abs(self.points)
+        off_origin = radii > 0.0
+        self.frames = np.ones_like(self.points)  # y * frame is y in the point's frame
+        self.frames[off_origin] = self.points[off_origin].conj() / radii[off_origin]
+        # Cell c spans [lower[c], upper[c]); the outer cells reach to infinity.
+        self._lower = np.concatenate(([-math.inf], edges[1:-1]))
+        self._upper = np.concatenate((edges[1:-1], [math.inf]))
 
     @classmethod
     def fit(cls, points, channel_cfg, rng, draws_per_point=100_000, bins=100, pad=4.0):
+        """One table per ring from draws_per_point channel draws: each
+        point's likelihood comes from that many draws, shared across its ring."""
+        if draws_per_point < 1:
+            raise ValueError("draws_per_point must be >= 1")
+        if bins < 1:
+            raise ValueError("bins must be >= 1")
+        if not 0.0 <= pad < math.inf:
+            raise ValueError("pad must be finite and >= 0")
         points = np.asarray(points, dtype=np.complex128)
-        num_points = points.size
-        sigma = math.sqrt(channel_cfg.sigma_sq_mw)
-        radius = float(np.max(np.abs(points))) + pad * sigma
-        re_edges = np.linspace(-radius, radius, bins + 1)
-        im_edges = np.linspace(-radius, radius, bins + 1)
-        log_density = np.zeros((num_points, bins, bins))
-        for m in range(num_points):
-            x = np.full(draws_per_point, points[m], dtype=np.complex128)
-            y = propagate(x, channel_cfg, rng)
-            counts, _, _ = np.histogram2d(y.real, y.imag, bins=(re_edges, im_edges))
-            log_density[m] = np.log(counts + 1.0)  # add-one smoothing
-        return cls(points, log_density, re_edges, im_edges)
+        radii = np.abs(points)
+        ring_of, ring_radii = _rings(radii)
+        half = float(np.max(radii)) + pad * math.sqrt(channel_cfg.sigma_sq_mw)
+        edges = np.linspace(-half, half, bins + 1)
+        log_density = np.empty((len(ring_radii), bins, bins))
+        for k, radius in enumerate(ring_radii):
+            y = propagate(np.full(draws_per_point, radius, dtype=np.complex128), channel_cfg, rng)
+            counts, _, _ = np.histogram2d(y.real, y.imag, bins=(edges, edges))
+            log_density[k] = np.log(counts + 1.0)  # add-one smoothing
+        return cls(points, ring_of, log_density, edges)
+
+    def _cell(self, v):
+        """Each v's cell index along one axis, clamped to the edge cells:
+        np.clip(np.searchsorted(edges, v, side="right") - 1, 0, bins - 1).
+
+        The uniform grid's linear estimate of the index is off by at most
+        one next to an edge; one comparison with each bound of the
+        estimated cell corrects it.
+        """
+        bins = len(self._lower)
+        scale = bins / (self.edges[-1] - self.edges[0])
+        c = np.clip((v - self.edges[0]) * scale, 0, bins - 1).astype(np.intp)
+        c -= v < self._lower[c]
+        c += v >= self._upper[c]
+        return c
 
     def decide(self, y):
         y = np.asarray(y, dtype=np.complex128)
-        nbins = self.log_density.shape[1]
-        i = np.clip(np.searchsorted(self.re_edges, y.real, side="right") - 1, 0, nbins - 1)
-        j = np.clip(np.searchsorted(self.im_edges, y.imag, side="right") - 1, 0, nbins - 1)
-        return np.argmax(self.log_density[:, i, j], axis=0)
+        choice = np.zeros(y.shape, dtype=np.intp)
+        best = np.full(y.shape, -math.inf)
+        for m, (frame, ring) in enumerate(zip(self.frames, self.ring_of)):
+            z = y * frame
+            score = self.log_density[ring][self._cell(z.real), self._cell(z.imag)]
+            better = score > best
+            best[better] = score[better]
+            choice[better] = m
+        return choice
 
 
 def detector_ser(points, detector, channel_cfg, num_symbols, rng):

@@ -443,6 +443,32 @@ def test_ser_sweep_nlpn_power_points(tmp_path):
     assert all(r["q_bits"] == "1" for r in rows)
 
 
+def test_ser_sweep_nlpn_power_points_with_ml_column(tmp_path):
+    """The NLPN 16-QAM ML column of a power sweep is a probability, and two
+    runs write the same bytes."""
+    channel = {"family": "nlpn", "sigma_sq_dbm": -21.3, "P_dbm": 0.0, "gamma": 1.27, "L_km": 5000.0, "K": 5}
+    sweep = {
+        "parameter": "p_dbm",
+        "values": [-3.0, 0.0],
+        "num_symbols": 2000,
+        "include_qam16_ml": True,
+        "ml_draws_per_point": 2000,
+    }
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, base_config(out, channel=channel, sweep=sweep))
+    texts = []
+    for _ in range(2):
+        assert main(["ser-sweep", cfg_path]) == 0
+        texts.append((out / "ser_sweep.csv").read_bytes())
+    assert texts[0] == texts[1]
+    lines = texts[0].decode().strip().split("\n")
+    header = lines[0].split(",")
+    data = [dict(zip(header, l.split(","))) for l in lines[1:] if not l.startswith("#")]
+    assert len(data) == 2
+    for row in data:
+        assert 0.0 <= float(row["qam16_ml_ser"]) <= 1.0
+
+
 def test_decision_regions_artifact(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out, grid={"bounds": [-1.0, 1.0], "resolution": 5})

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qflearn.channels import AWGN, NLPN, ChannelConfig
+from qflearn.channels import AWGN, NLPN, ChannelConfig, propagate
 from qflearn.cli import write_decision_regions_csv
 from qflearn.evaluation import (
     ExactAwgnDetector,
@@ -142,6 +142,80 @@ def test_sampled_nlpn_detector_agrees_with_exact_on_linear_channel():
     y = propagate(points[m], channel, rng)
     agreement = np.mean(fitted.decide(y) == exact.decide(y))
     assert agreement >= 0.99
+
+
+# At this power the rotated 16-QAM below has five distinct radii, not three.
+NLPN_SMALL = ChannelConfig(family=NLPN, sigma_sq_dbm=-21.3, P_dbm=-2.0, gamma=1.27, L_km=5000.0, K=5)
+
+
+def test_sampled_nlpn_detector_is_rotation_covariant():
+    """A rotated 16-QAM has radii that differ by an ulp but still three rings,
+    and its detector on rotated observations decides as the unrotated one."""
+    points = qam16(NLPN_SMALL.P_mw)
+    turn = np.exp(0.3j)
+    rotated = points * turn
+    assert len(set(np.abs(rotated).tolist())) > 3
+    plain = SampledNlpnDetector.fit(points, NLPN_SMALL, np.random.default_rng(10), draws_per_point=20_000, bins=60)
+    turned = SampledNlpnDetector.fit(rotated, NLPN_SMALL, np.random.default_rng(10), draws_per_point=20_000, bins=60)
+    assert plain.log_density.shape == turned.log_density.shape == (3, 60, 60)
+    rng = np.random.default_rng(11)
+    m = rng.integers(0, 16, size=20_000)
+    y = propagate(points[m], NLPN_SMALL, rng)
+    assert np.mean(turned.decide(y * turn) == plain.decide(y)) >= 0.99
+
+
+def test_sampled_nlpn_detector_point_at_origin():
+    """The origin is its own frame (no 0/0 rotation); on a linear channel the
+    detector with a point there still matches the nearest-point rule."""
+    channel = ChannelConfig(family=NLPN, sigma_sq_dbm=-21.3, P_dbm=-6.3, gamma=0.0, L_km=5000.0, K=3)
+    points = np.array([0.0, 0.4, 0.4j, -0.4, -0.4j], dtype=np.complex128)
+    fitted = SampledNlpnDetector.fit(points, channel, np.random.default_rng(12), draws_per_point=20_000, bins=60)
+    assert np.all(np.isfinite(fitted.frames)) and fitted.frames[0] == 1.0
+    assert fitted.log_density.shape[0] == 2
+    rng = np.random.default_rng(13)
+    m = rng.integers(0, points.size, size=20_000)
+    y = propagate(points[m], channel, rng)
+    assert np.mean(fitted.decide(y) == ExactAwgnDetector(points).decide(y)) >= 0.99
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"draws_per_point": 0}, "draws_per_point must be >= 1"),
+        ({"bins": 0}, "bins must be >= 1"),
+        ({"pad": -1.0}, "pad must be finite and >= 0"),
+        ({"pad": math.nan}, "pad must be finite and >= 0"),
+        ({"pad": math.inf}, "pad must be finite and >= 0"),
+    ],
+)
+def test_sampled_nlpn_detector_fit_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SampledNlpnDetector.fit(qam16(NLPN_SMALL.P_mw), NLPN_SMALL, np.random.default_rng(0), **kwargs)
+
+
+def test_sampled_nlpn_detector_cell_matches_searchsorted():
+    """The arithmetic cell index is the clamped searchsorted cell, on every
+    edge, next to it, and outside the grid."""
+    fitted = SampledNlpnDetector.fit(qam16(NLPN_SMALL.P_mw), NLPN_SMALL, np.random.default_rng(1), draws_per_point=10, bins=37)
+    edges = fitted.edges
+    v = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [-1e300, -10.0, 10.0, 1e300],
+            np.random.default_rng(2).uniform(-1.2 * edges[-1], 1.2 * edges[-1], 10_000),
+        ]
+    )
+    expect = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(edges) - 2)
+    assert np.array_equal(fitted._cell(v), expect)
+
+
+def test_sampled_nlpn_detector_lowest_index_wins_ties():
+    points = qam16(NLPN_SMALL.P_mw)
+    flat = SampledNlpnDetector(points, [0, 1, 2, 1] * 4, np.zeros((3, 4, 4)), np.linspace(-1.0, 1.0, 5))
+    y = np.random.default_rng(3).normal(size=100) + 0j
+    assert np.all(flat.decide(y) == 0)
 
 
 def test_decision_regions_shapes_and_split():
