@@ -13,6 +13,7 @@ arithmetic instead of a 12 GB score matrix.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,9 @@ from .channels import propagate
 from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
-    bits_to_indices,
     bussgang_gain,
+    level_indices,
     preprocess,
-    quantize,
-    quantize_value,
 )
 from .transceiver import (
     constellation,
@@ -40,7 +39,7 @@ from .transceiver import (
 
 DEFAULT_CHUNK = 65_536
 # Rows per receiver forward pass over a large batch: one 65,536-row pass
-# holds about 120 MB of tape and runs out of cache. A row's output bits do
+# peaks at about 70 MB and runs out of cache. A row's output bits do
 # not depend on the pass size from about 80 rows up (16 messages), but below
 # that BLAS takes another kernel, so no pass is cut shorter than this.
 RECEIVE_ROWS = 4096
@@ -59,9 +58,14 @@ def _chunks(total, chunk=DEFAULT_CHUNK):
 def _receive_rows(rx, y):
     """Receiver probabilities for every row of y, what receive(rx, y)
     returns without its tape, from passes of RECEIVE_ROWS to
-    2 * RECEIVE_ROWS - 1 rows (one pass when y is shorter)."""
-    parts = np.array_split(y, max(len(y) // RECEIVE_ROWS, 1))
-    return np.concatenate([receive(rx, part)[0] for part in parts])
+    2 * RECEIVE_ROWS - 1 rows (one pass when y is shorter), each written
+    into one output array."""
+    probs = np.empty((len(y), rx.out_dim))
+    start = 0
+    for part in np.array_split(y, max(len(y) // RECEIVE_ROWS, 1)):
+        probs[start : start + len(part)] = receive(rx, part)[0]
+        start += len(part)
+    return probs
 
 
 def binomial_stderr(p_hat, n):
@@ -344,17 +348,54 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
     )
 
 
+@dataclass(frozen=True)
+class CodedWeight:
+    """A per-sample weight held as one unsigned code per sample, in the
+    smallest dtype that holds the largest code, plus the elementwise rule
+    that expands codes to the float64 weights.
+
+    It answers the shape, slicing and mean() a float64 weight vector
+    answers, with the same bits: a slice expands only its own codes.
+    """
+
+    codes: np.ndarray
+    expand: Callable
+
+    @property
+    def shape(self):
+        return self.codes.shape
+
+    def __getitem__(self, index):
+        return self.expand(self.codes[index])
+
+    def mean(self):
+        return self.expand(self.codes).mean()
+
+
+def _ones_weight(n):
+    """The weight 1.0 on each of n samples, from one shared zero code."""
+    return CodedWeight(np.broadcast_to(np.uint8(0), (n,)), lambda codes: np.ones(codes.shape))
+
+
+def _level_codes(losses, cfg):
+    """The q-bit level index of each loss, in the smallest unsigned dtype
+    that holds 2^q - 1. cfg.reconstruct expands them to the levels."""
+    return level_indices(losses, cfg).astype(np.min_scalar_type(cfg.num_levels - 1))
+
+
 @dataclass
 class ScoreMoments:
     """Weighted score statistics for a set of named per-sample weights.
 
-    means[name] = (1/N) sum_k a_k s_k, and gram[(a, b)] = (1/N) sum a_k b_k
-    ||s_k||^2 for every pair, with fourth[(a, b)] the matching second moment
-    of those summands (for standard errors). Every variance and covariance
-    the scaling checks need is a bilinear combination of these.
+    means[name] = (1/N) sum_k a_k s_k and weight_means[name] = (1/N) sum_k a_k.
+    gram[(a, b)] = (1/N) sum_k a_k b_k ||s_k||^2 for each weight's diagonal
+    (a, a) and for the requested pairs, and fourth[name] is the second
+    moment of the diagonal's summands (for standard errors). Every variance
+    and covariance the scaling checks need is a bilinear combination of these.
     """
 
     means: dict
+    weight_means: dict
     gram: dict
     fourth: dict
     num_samples: int
@@ -367,9 +408,9 @@ class ScoreMoments:
                 total += ca * cb * self.gram[_pair_key(name_a, name_b)]
         return total
 
-    def gram_se(self, name_a, name_b):
-        key = _pair_key(name_a, name_b)
-        var = max(self.fourth[key] - self.gram[key] ** 2, 0.0)
+    def gram_se(self, name):
+        second = self.gram[(name, name)]
+        var = max(self.fourth[name] - second**2, 0.0)
         return math.sqrt(var / self.num_samples)
 
 
@@ -377,25 +418,26 @@ def _pair_key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def score_moments(sample_set, weights, chunk=DEFAULT_CHUNK):
-    """One chunked pass over the samples computing all weighted moments.
+def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
+    """One chunked pass over the samples computing the weighted moments.
 
-    Mean vectors are accumulated per message as sum_k a_k u_k and contracted
-    with the Jacobian once at the end, so no (N, P) score matrix ever exists.
+    weights maps names to float64 vectors or CodedWeights, each expanded
+    once per chunk. Every weight gets its mean vector, its mean and its
+    diagonal gram entry with that entry's fourth moment; pairs lists the
+    (a, b) name pairs whose gram entries are accumulated as well. Mean
+    vectors are accumulated per message as sum_k a_k u_k and contracted with
+    the Jacobian once at the end, so no (N, P) score matrix ever exists.
     """
     names = list(weights)
     n = sample_set.num_samples
     for name in names:
         if weights[name].shape != (n,):
             raise ValueError(f"weight vector {name!r} has wrong shape")
+    pairs = list(dict.fromkeys(_pair_key(a, b) for a, b in pairs if a != b))
     num_messages = sample_set.jac.shape[0]
     acc_u = {name: np.zeros((num_messages, 2)) for name in names}
-    acc_gram = {}
-    acc_fourth = {}
-    for a in range(len(names)):
-        for b in range(a, len(names)):
-            acc_gram[_pair_key(names[a], names[b])] = 0.0
-            acc_fourth[_pair_key(names[a], names[b])] = 0.0
+    acc_gram = dict.fromkeys([(name, name) for name in names] + pairs, 0.0)
+    acc_fourth = dict.fromkeys(names, 0.0)
     gram = _gram_blocks(sample_set.jac)
     acc_bins = np.arange(2 * num_messages)
     for sl in _chunks(n, chunk):
@@ -405,22 +447,22 @@ def score_moments(sample_set, weights, chunk=DEFAULT_CHUNK):
         # One bincount adds the accumulator and then each sample's row in
         # sample order, the same sums in the same order as np.add.at.
         bins = np.concatenate([acc_bins, (2 * m[:, None] + np.arange(2)).ravel()])
-        for name in names:
-            wv = weights[name][sl]
-            values = np.concatenate([acc_u[name].ravel(), (wv[:, None] * u).ravel()])
+        wv = {name: weights[name][sl] for name in names}
+        for name, w in wv.items():
+            values = np.concatenate([acc_u[name].ravel(), (w[:, None] * u).ravel()])
             acc_u[name] = np.bincount(bins, values, 2 * num_messages).reshape(num_messages, 2)
-        for a in range(len(names)):
-            for b in range(a, len(names)):
-                key = _pair_key(names[a], names[b])
-                prod = weights[names[a]][sl] * weights[names[b]][sl] * norms_sq
-                acc_gram[key] += float(prod.sum())
-                acc_fourth[key] += float((prod * prod).sum())
-    means = {}
-    for name in names:
-        means[name] = np.einsum("mc,mcp->p", acc_u[name], sample_set.jac) / n
-    gram = {key: val / n for key, val in acc_gram.items()}
-    fourth = {key: val / n for key, val in acc_fourth.items()}
-    return ScoreMoments(means=means, gram=gram, fourth=fourth, num_samples=n)
+            prod = w * w * norms_sq
+            acc_gram[(name, name)] += float(prod.sum())
+            acc_fourth[name] += float((prod * prod).sum())
+        for a, b in pairs:
+            acc_gram[(a, b)] += float((wv[a] * wv[b] * norms_sq).sum())
+    return ScoreMoments(
+        means={name: np.einsum("mc,mcp->p", acc_u[name], sample_set.jac) / n for name in names},
+        weight_means={name: float(weights[name].mean()) for name in names},
+        gram={key: val / n for key, val in acc_gram.items()},
+        fourth={name: val / n for name, val in acc_fourth.items()},
+        num_samples=n,
+    )
 
 
 def score_coordinate_std(jac, sigma_p_sq):
@@ -471,16 +513,16 @@ def _variance_of(moments, name, mean):
     caller); the standard error combines the fourth-moment error of the
     first term with the mean-norm error of the second.
     """
-    second = moments.gram[_pair_key(name, name)]
+    second = moments.gram[(name, name)]
     var = second - float(mean @ mean)
-    se_second = moments.gram_se(name, name)
+    se_second = moments.gram_se(name)
     se_mean_term = 2.0 * float(np.linalg.norm(mean)) * math.sqrt(
-        max(moments.gram[_pair_key(name, name)], 0.0) / moments.num_samples
+        max(second, 0.0) / moments.num_samples
     )
     return var, math.sqrt(se_second**2 + se_mean_term**2)
 
 
-def _centered_mean(moments, weights, name):
+def _centered_mean(moments, name):
     """Control-variate mean estimate of E{w_k s_k}.
 
     Subtracting mean(w) times the empirical score mean changes nothing in
@@ -489,7 +531,7 @@ def _centered_mean(moments, weights, name):
     zero. Without it the 1-bit mean estimates drown in score noise at any
     feasible sample count.
     """
-    return moments.means[name] - float(weights[name].mean()) * moments.means["ones"]
+    return moments.means[name] - moments.weight_means[name] * moments.means["ones"]
 
 
 def _preprocessed_losses(sample_set, clip_fraction):
@@ -502,10 +544,15 @@ def _preprocessed_losses(sample_set, clip_fraction):
 
 def _fisher_trace(moments):
     """Same-sample estimate of tr(J) = E||s||^2, with its standard error."""
-    return moments.gram[_pair_key("ones", "ones")], moments.gram_se("ones", "ones")
+    return moments.gram[("ones", "ones")], moments.gram_se("ones")
 
 
-def _scaling_report(label, target, moments, weights, test, ref, variance, **extra):
+def _report_pairs(name_test, name_ref):
+    """The off-diagonal gram entries _scaling_report reads for one claim."""
+    return [(name_test, name_ref), (name_test, "ones"), (name_ref, "ones")]
+
+
+def _scaling_report(label, target, moments, test, ref, variance, **extra):
     """ScalingReport for the claim mean(test) = target * mean(ref).
 
     test and ref are (weight name, centered mean) pairs and variance is
@@ -518,7 +565,7 @@ def _scaling_report(label, target, moments, weights, test, ref, variance, **extr
     tested).
     """
     (name_test, mu_test), (name_ref, mu_ref) = test, ref
-    offset = float(weights[name_test].mean()) - target * float(weights[name_ref].mean())
+    offset = moments.weight_means[name_test] - target * moments.weight_means[name_ref]
     coeffs = {name_test: 1.0, name_ref: -target, "ones": -offset}
     gap_second = moments.gram_bilinear(coeffs, coeffs)
     norm_test = float(np.linalg.norm(mu_test))
@@ -555,34 +602,51 @@ def verify_quantized_gradient_scaling(
     variance bound g^2 V{gamma} + (g*w_bar + w_bar^2) * tr(J). Mean
     estimates are centered (see _centered_mean); variances are of the
     uncentered per-sample gradients, which is what the bound speaks about.
+    The quantized losses are held as level codes (see CodedWeight).
 
     Returns {q_bits: ScalingReport}.
     """
     pre = _preprocessed_losses(sample_set, clip_fraction)
-    weights = {"ones": np.ones_like(pre), "perfect": pre}
+    weights = {"ones": _ones_weight(pre.size), "perfect": pre}
+    pairs = []
     estimates = {}
     for q in q_bits_list:
         cfg = QuantizerConfig(q)
-        weights[f"q{q}"] = quantize_value(pre, cfg)
+        weights[f"q{q}"] = CodedWeight(_level_codes(pre, cfg), cfg.reconstruct)
+        pairs += _report_pairs(f"q{q}", "perfect")
         estimates[q] = bussgang_gain(pre, cfg)
-    moments = score_moments(sample_set, weights)
+    moments = score_moments(sample_set, weights, pairs)
     fisher, fisher_se = _fisher_trace(moments)
-    mu_ref = _centered_mean(moments, weights, "perfect")
+    mu_ref = _centered_mean(moments, "perfect")
     var_ref, var_ref_se = _variance_of(moments, "perfect", mu_ref)
     reports = {}
     for q in q_bits_list:
         est = estimates[q]
         name = f"q{q}"
-        mu_q = _centered_mean(moments, weights, name)
+        mu_q = _centered_mean(moments, name)
         var_q, var_q_se = _variance_of(moments, name, mu_q)
         coeff = est.g * est.w_bar + est.w_bar**2
         bound = est.g**2 * var_ref + coeff * fisher
         slack_se = math.sqrt(var_q_se**2 + (est.g**2 * var_ref_se) ** 2 + (coeff * fisher_se) ** 2)
         reports[q] = _scaling_report(
-            f"quantized_{q}bit", est.g, moments, weights, (name, mu_q), ("perfect", mu_ref),
+            f"quantized_{q}bit", est.g, moments, (name, mu_q), ("perfect", mu_ref),
             (var_q, bound, slack_se), g_hat=est.g, w_bar=est.w_bar,
         )
     return reports
+
+
+def _flip_mask(flips):
+    """The XOR mask on q-bit level codes of MSB-first flip indicators (N, q)."""
+    mask = flips[:, 0].astype(np.uint8)
+    for j in range(1, flips.shape[1]):
+        mask <<= 1
+        mask |= flips[:, j]
+    return mask
+
+
+def _mean_level(cfg, flip_draws):
+    """The rule expanding a sum of flip_draws level codes to the level of their mean."""
+    return lambda sums: cfg.reconstruct(sums / flip_draws)
 
 
 def verify_bitflip_gradient_scaling(
@@ -605,6 +669,8 @@ def verify_bitflip_gradient_scaling(
     V{gamma_q} + 4p(1-p)||grad_q||^2 + p*tr(J) is evaluated as well, on a
     single flip realization since the bound is about per-sample spread
     (bound fields are NaN for other bit widths, where no bound is claimed).
+    A flip is an XOR of the sent level code, and every weight is held as
+    level codes or their sum over the draws (see CodedWeight).
 
     Returns {(q_bits, p): ScalingReport}.
     """
@@ -620,43 +686,44 @@ def verify_bitflip_gradient_scaling(
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
     pre = _preprocessed_losses(sample_set, clip_fraction)
-    weights = {"ones": np.ones_like(pre)}
+    weights = {"ones": _ones_weight(pre.size)}
+    pairs = []
     for q in q_bits_list:
         cfg = QuantizerConfig(q)
-        weights[f"q{q}"], bits = quantize(pre, cfg)
+        sent = _level_codes(pre, cfg)
+        weights[f"q{q}"] = CodedWeight(sent, cfg.reconstruct)
         for p in flip_probs:
-            index_sum = np.zeros(pre.shape, dtype=np.int64)
+            index_sum = np.zeros(pre.shape, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))
             for draw in range(flip_draws):
-                indices = bits_to_indices(bits ^ (rng.random(bits.shape) < p), cfg)
+                received = sent ^ _flip_mask(rng.random((pre.size, q)) < p)
                 if draw == 0 and q == 1:
-                    weights[f"ev_q{q}_p{p}"] = cfg.reconstruct(indices)
-                index_sum += indices
+                    weights[f"ev_q{q}_p{p}"] = CodedWeight(received, cfg.reconstruct)
+                index_sum += received
             # The level of the mean index is the mean of the levels. The
             # levels are dyadic, so for a power-of-two flip_draws it carries
             # the bits of summing the dequantized draws.
-            weights[f"e_q{q}_p{p}"] = cfg.reconstruct(index_sum / flip_draws)
-    moments = score_moments(sample_set, weights)
+            weights[f"e_q{q}_p{p}"] = CodedWeight(index_sum, _mean_level(cfg, flip_draws))
+            pairs += _report_pairs(f"e_q{q}_p{p}", f"q{q}")
+    moments = score_moments(sample_set, weights, pairs)
     fisher, fisher_se = _fisher_trace(moments)
     reports = {}
     for q in q_bits_list:
         name_q = f"q{q}"
-        mu_q = _centered_mean(moments, weights, name_q)
+        mu_q = _centered_mean(moments, name_q)
         norm_q = float(np.linalg.norm(mu_q))
         var_q, var_q_se = _variance_of(moments, name_q, mu_q)
         for p in flip_probs:
             name_e = f"e_q{q}_p{p}"
             if q == 1:
                 name_ev = f"ev_q{q}_p{p}"
-                var_e, var_e_se = _variance_of(
-                    moments, name_ev, _centered_mean(moments, weights, name_ev)
-                )
+                var_e, var_e_se = _variance_of(moments, name_ev, _centered_mean(moments, name_ev))
                 bound = var_q + 4.0 * p * (1.0 - p) * norm_q**2 + p * fisher
                 slack_se = math.sqrt(var_e_se**2 + var_q_se**2 + (p * fisher_se) ** 2)
             else:
                 var_e, bound, slack_se = math.nan, math.nan, math.nan
-            mu_e = _centered_mean(moments, weights, name_e)
+            mu_e = _centered_mean(moments, name_e)
             reports[(q, p)] = _scaling_report(
-                f"bitflip_q{q}_p{p}", 1.0 - 2.0 * p, moments, weights, (name_e, mu_e), (name_q, mu_q),
+                f"bitflip_q{q}_p{p}", 1.0 - 2.0 * p, moments, (name_e, mu_e), (name_q, mu_q),
                 (var_e, bound, slack_se),
             )
     return reports

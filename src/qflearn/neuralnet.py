@@ -108,8 +108,9 @@ def glorot_init(dims, activations, rng):
 def forward(net, x):
     """Evaluate the network on x of shape (d,) or (B, d).
 
-    Returns (output, tape). The tape caches, per layer, the layer input, the
-    pre-activation, and the activation output, and is consumed by backward().
+    Returns (output, tape). The tape holds the input and then each layer's
+    activation output, one array per layer, and is consumed by backward().
+    Each activation is applied in place over its pre-activation.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -117,21 +118,21 @@ def forward(net, x):
     if a.shape[1] != net.in_dim:
         raise ValueError(f"input width {a.shape[1]} != network in_dim {net.in_dim}")
     params = net.params
-    tape = []
+    tape = [a]
     for w, b, shape, act in net.layout:
-        z = a @ params[w].reshape(shape).T
-        z += params[b]
+        a = a @ params[w].reshape(shape).T
+        a += params[b]
         if act == RELU:
-            out = np.maximum(z, 0.0)
+            np.maximum(a, 0.0, out=a)
         elif act == SOFTMAX:
-            # Max-subtraction keeps exp() in range for |logit| up to ~700.
-            out = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-            np.exp(out, out=out)
-            out /= np.add.reduce(out, axis=-1, keepdims=True)
-        else:
-            out = z
-        tape.append((a, z, out))
-        a = out
+            # Max-subtraction keeps exp() in range for |logit| up to ~700. A
+            # max has the same bits in any order, and reducing the rows of a
+            # contiguous copy of a.T is several times faster than reducing
+            # along the short rows of a.
+            a -= np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
+            np.exp(a, out=a)
+            a /= np.add.reduce(a, axis=-1, keepdims=True)
+        tape.append(a)
     return (a[0] if single else a), tape
 
 
@@ -143,20 +144,20 @@ def backward(net, tape, output_grad, out=None):
     the layout of net.params: `out` (contiguous float64, overwritten) when
     given, else a new vector.
     """
-    if len(tape) != len(net.layout):
+    if len(tape) != len(net.layout) + 1:
         raise ValueError("tape does not match network depth")
     g = np.asarray(output_grad, dtype=np.float64)
     g = g.reshape(1, -1) if g.ndim < 2 else g
-    if g.shape != tape[-1][2].shape:
+    if g.shape != tape[-1].shape:
         raise ValueError("output_grad shape does not match the taped forward pass")
     flat = np.empty(net.params.size) if out is None else out
-    for i in range(len(tape) - 1, -1, -1):
+    for i in range(len(net.layout) - 1, -1, -1):
         w, b, shape, act = net.layout[i]
-        a_in, z, a_out = tape[i]
+        a_in, a_out = tape[i], tape[i + 1]
         if a_in.shape[1] != shape[1]:
             raise ValueError("stale tape: layer input width mismatch")
         if act == RELU:
-            dz = g * (z > 0.0)
+            dz = g * (a_out > 0.0)  # a_out > 0 exactly where the pre-activation is, NaN included
         elif act == SOFTMAX:
             # Full softmax Jacobian: dz = q * (g - sum(q * g)).
             dz = a_out * (g - np.add.reduce(a_out * g, axis=1, keepdims=True))

@@ -249,8 +249,8 @@ def test_decision_regions_equal_one_receive_call():
 
 
 def test_collect_score_samples_holds_no_full_chunk_tape():
-    """A 65,536-sample chunk through one forward pass holds about 120 MB of
-    tape; in row blocks the call peaks far below that."""
+    """One receiver forward pass over a 65,536-sample chunk peaks at about
+    70 MB (tracemalloc); in row blocks the call peaks far below that."""
     tx = build_transmitter(16, np.random.default_rng(10))
     rx = build_receiver(16, np.random.default_rng(11))
     tracemalloc.start()
@@ -260,6 +260,23 @@ def test_collect_score_samples_holds_no_full_chunk_tape():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_verify_bitflip_holds_weights_as_level_codes():
+    """The default bit-flip check has twelve weights. As float64 vectors
+    they take 1.6 MB each at 200,000 samples and the call peaked at 31.4 MB
+    (tracemalloc); as level codes its peak is about 21 MB, mostly the
+    working set of one 65,536-sample chunk."""
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    samples = collect_score_samples(tx, rx, CHANNEL, 16, 200_000, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        verify_bitflip_gradient_scaling(samples, np.random.default_rng(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6
 
 
 def test_decision_regions_validation():
@@ -339,13 +356,17 @@ def test_score_moments_match_dense(small_samples):
         "loss": s.raw_losses.copy(),
         "rand": rng.uniform(0.0, 1.0, size=s.num_samples),
     }
-    moments = score_moments(s, weights, chunk=701)
+    every_pair = [(a, b) for a in weights for b in weights]
+    moments = score_moments(s, weights, every_pair, chunk=701)
     dense = dense_scores(s)
     norms = np.sum(dense * dense, axis=1)
     for name, w in weights.items():
         np.testing.assert_allclose(
             moments.means[name], (w[:, None] * dense).mean(axis=0), rtol=1e-9, atol=1e-12
         )
+        assert moments.weight_means[name] == float(w.mean())
+        expect = float(np.mean((w * w * norms) ** 2))
+        assert moments.fourth[name] == pytest.approx(expect, rel=1e-10)
     for a in weights:
         for b in weights:
             key = (a, b) if a <= b else (b, a)

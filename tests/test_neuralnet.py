@@ -270,12 +270,27 @@ def test_gradient_norm_and_flat_layout():
     assert [dw.shape for dw, _ in split_layers(net, grad)] == [(4, 3), (2, 4)]
 
 
-def reference_backward(net, tape, output_grad):
-    """Layer-by-layer backward pass returning separate (dW, db) arrays per layer."""
+def reference_backward(net, x, output_grad):
+    """Layer-by-layer forward pass that keeps every pre-activation, then a
+    backward pass returning separate (dW, db) arrays per layer."""
+    layers = split_layers(net, net.params)
+    a = np.atleast_2d(x)
+    cache = []
+    for (weights, biases), (*_, act) in zip(layers, net.layout):
+        z = a @ weights.T + biases
+        if act == RELU:
+            out = np.maximum(z, 0.0)
+        elif act == SOFTMAX:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            out = e / e.sum(axis=1, keepdims=True)
+        else:
+            out = z
+        cache.append((a, z, out))
+        a = out
     g = np.atleast_2d(output_grad)
-    grads = [None] * len(net.layout)
-    for i in range(len(net.layout) - 1, -1, -1):
-        a_in, z, out = tape[i]
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        a_in, z, out = cache[i]
         act = net.layout[i][3]
         if act == RELU:
             dz = g * (z > 0.0)
@@ -284,7 +299,7 @@ def reference_backward(net, tape, output_grad):
         else:
             dz = g
         grads[i] = (dz.T @ a_in, dz.sum(axis=0))
-        g = dz @ split_layers(net, net.params)[i][0]
+        g = dz @ layers[i][0]
     return grads
 
 
@@ -294,7 +309,8 @@ def test_backward_flat_gradient_is_concatenation_of_views():
     rng = np.random.default_rng(53)
     for softmax_head in (False, True):
         net = glorot_init([3, 6, 5, 4], [RELU, RELU, SOFTMAX if softmax_head else LINEAR], rng)
-        out, tape = forward(net, rng.normal(size=(7, 3)))
+        x = rng.normal(size=(7, 3))
+        out, tape = forward(net, x)
         probe = rng.normal(size=out.shape)
         grad = backward(net, tape, probe)
         assert grad.shape == (net.params.size,)
@@ -304,7 +320,7 @@ def test_backward_flat_gradient_is_concatenation_of_views():
         np.testing.assert_array_equal(
             grad, np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in parts])
         )
-        reference = reference_backward(net, tape, probe)
+        reference = reference_backward(net, x, probe)
         np.testing.assert_array_equal(
             grad, np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in reference])
         )
