@@ -7,6 +7,8 @@ A sigma_sq_dbm of -inf gives an exactly noiseless channel (test hook).
 """
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +87,10 @@ def awgn(x, cfg, rng):
 
 
 # Most normals one nlpn noise draw of a single channel use may hold (64 KB).
-# A batch of 64 draws all K = 50 steps at once; the 10^4-symbol SER estimate
-# inside training and larger inputs draw one step at a time, so their peak
-# memory stays as it was.
+# A batch of 64 draws all K = 50 steps at once; inputs of more than 2,048
+# symbols draw one step at a time. A piped call (_NLPN_PIPELINE_SYMBOLS)
+# holds at most 3 step blocks at once: the one being stepped, one queued
+# and one drawn ahead, under 5 MB at 10^5 symbols.
 _NLPN_DRAW_NORMALS = 2**13
 # Most normals one draw for a group of whole rows of a stacked (2-d) input
 # may hold (512 KB): groups of 10 rows of 64 symbols at K = 50. A whole
@@ -138,13 +141,85 @@ def _nlpn_steps(x, cfg, noise_blocks):
     return out
 
 
+# From this many symbols up, a single channel use draws its step noise on a
+# helper thread, one step ahead of the recursion (both halves release the
+# GIL at these sizes). One NLPN desk call (K = 50), serial against piped,
+# 10 alternating pairs per size on 2 cores, best time of each side:
+#     4,097 symbols: 13.8 ms against 10.5 ms, piped won 10/10
+#    10,000 symbols: 30.1 ms against 22.4 ms, piped won 10/10
+#    16,384 symbols: 48.9 ms against 34.3 ms, piped won 10/10
+#    65,536 symbols:  245 ms against  139 ms, piped won 10/10
+#   100,000 symbols:  336 ms against  189 ms, piped won 10/10
+# Smaller inputs, such as training's 64-symbol batches and row groups,
+# stay on one thread.
+_NLPN_PIPELINE_SYMBOLS = 4_097
+
+
+class _DrawnAhead:
+    """Iterates the blocks of an iterable drawn on a helper thread, at most
+    one block queued ahead of the consumer.
+
+    Only the helper iterates the blocks, so a generator behind them sees
+    the same calls in the same order as a serial loop. Used as a context
+    manager: leaving it, by return or raise, stops the helper and joins
+    it. A helper error is raised in the consumer when it reaches the
+    block that failed.
+    """
+
+    _DONE = object()
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._queue = queue.Queue(maxsize=1)
+        self._stop = threading.Event()
+        self._error = None
+        self._thread = threading.Thread(target=self._produce, daemon=True)
+
+    def _produce(self):
+        # Every put follows a check of the stop flag, so once the flag is
+        # set at most one put is still on its way, and the drain in
+        # __exit__ leaves room for it: the helper never blocks for good.
+        try:
+            for block in self._blocks:
+                if self._stop.is_set():
+                    return
+                self._queue.put(block)
+        except BaseException as err:  # raised again in the consumer
+            self._error = err
+        if not self._stop.is_set():
+            self._queue.put(self._DONE)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __iter__(self):
+        while (block := self._queue.get()) is not self._DONE:
+            yield block
+        if self._error is not None:
+            raise self._error
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        try:
+            while True:
+                self._queue.get_nowait()
+        except queue.Empty:
+            pass
+        self._thread.join()
+
+
 def _nlpn_use(x, cfg, rng):
     """One channel use, its noise drawn in blocks of steps capped at
-    _NLPN_DRAW_NORMALS normals."""
+    _NLPN_DRAW_NORMALS normals. From _NLPN_PIPELINE_SYMBOLS symbols up
+    the blocks are drawn on a helper thread while the recursion runs."""
     step_var = cfg.sigma_sq_mw / cfg.K
     block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
     blocks = (_gaussian_parts(x.shape, step_var, rng, (min(block, cfg.K - k),)) for k in range(0, cfg.K, block))
-    return _nlpn_steps(x, cfg, blocks)
+    if x.size < _NLPN_PIPELINE_SYMBOLS:
+        return _nlpn_steps(x, cfg, blocks)
+    with _DrawnAhead(blocks) as ahead:
+        return _nlpn_steps(x, cfg, ahead)
 
 
 def _nlpn_rows(x, cfg, rng):

@@ -22,8 +22,9 @@ from .channels import propagate
 from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
-    bussgang_gain,
+    error_bound,
     level_indices,
+    linear_gain,
     preprocess,
 )
 from .transceiver import (
@@ -607,30 +608,34 @@ def verify_quantized_gradient_scaling(
     Returns {q_bits: ScalingReport}.
     """
     pre = _preprocessed_losses(sample_set, clip_fraction)
+    pre_var = pre.var()
     weights = {"ones": _ones_weight(pre.size), "perfect": pre}
     pairs = []
-    estimates = {}
+    gains = {}
     for q in q_bits_list:
         cfg = QuantizerConfig(q)
-        weights[f"q{q}"] = CodedWeight(_level_codes(pre, cfg), cfg.reconstruct)
+        codes = _level_codes(pre, cfg)
+        weights[f"q{q}"] = CodedWeight(codes, cfg.reconstruct)
         pairs += _report_pairs(f"q{q}", "perfect")
-        estimates[q] = bussgang_gain(pre, cfg)
+        # feedback.bussgang_gain's g and w_bar, from the codes already held
+        g = linear_gain(pre, cfg.reconstruct(codes), pre_var)
+        gains[q] = g, error_bound(g, cfg)
     moments = score_moments(sample_set, weights, pairs)
     fisher, fisher_se = _fisher_trace(moments)
     mu_ref = _centered_mean(moments, "perfect")
     var_ref, var_ref_se = _variance_of(moments, "perfect", mu_ref)
     reports = {}
     for q in q_bits_list:
-        est = estimates[q]
+        g, w_bar = gains[q]
         name = f"q{q}"
         mu_q = _centered_mean(moments, name)
         var_q, var_q_se = _variance_of(moments, name, mu_q)
-        coeff = est.g * est.w_bar + est.w_bar**2
-        bound = est.g**2 * var_ref + coeff * fisher
-        slack_se = math.sqrt(var_q_se**2 + (est.g**2 * var_ref_se) ** 2 + (coeff * fisher_se) ** 2)
+        coeff = g * w_bar + w_bar**2
+        bound = g**2 * var_ref + coeff * fisher
+        slack_se = math.sqrt(var_q_se**2 + (g**2 * var_ref_se) ** 2 + (coeff * fisher_se) ** 2)
         reports[q] = _scaling_report(
-            f"quantized_{q}bit", est.g, moments, (name, mu_q), ("perfect", mu_ref),
-            (var_q, bound, slack_se), g_hat=est.g, w_bar=est.w_bar,
+            f"quantized_{q}bit", g, moments, (name, mu_q), ("perfect", mu_ref),
+            (var_q, bound, slack_se), g_hat=g, w_bar=w_bar,
         )
     return reports
 
@@ -695,7 +700,9 @@ def verify_bitflip_gradient_scaling(
         for p in flip_probs:
             index_sum = np.zeros(pre.shape, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))
             for draw in range(flip_draws):
-                received = sent ^ _flip_mask(rng.random((pre.size, q)) < p)
+                received = sent.copy()
+                for sl in _chunks(pre.size):
+                    received[sl] ^= _flip_mask(rng.random((sl.stop - sl.start, q)) < p)
                 if draw == 0 and q == 1:
                     weights[f"ev_q{q}_p{p}"] = CodedWeight(received, cfg.reconstruct)
                 index_sum += received

@@ -201,6 +201,11 @@ def linear_gain(losses, levels, var):
     return float((np.mean(losses * levels) - losses.mean() * np.mean(levels)) / var)
 
 
+def error_bound(g, cfg):
+    """The quantization-error bound w_bar = |1 - 1/2^(q-1) - g| of gain g."""
+    return abs(1.0 - 1.0 / 2 ** (cfg.q_bits - 1) - g)
+
+
 def bussgang_gain(losses, cfg):
     """Plug-in estimate of the linear gain g in Q(l) = g*l + w.
 
@@ -215,8 +220,7 @@ def bussgang_gain(losses, cfg):
     q = quantize_value(losses, cfg)
     g = linear_gain(losses, q, var)
     w = q - g * losses
-    w_bar = abs(1.0 - 1.0 / 2 ** (cfg.q_bits - 1) - g)
-    return BussgangEstimate(g=g, w_mean=float(w.mean()), w_var=float(w.var()), w_bar=w_bar)
+    return BussgangEstimate(g=g, w_mean=float(w.mean()), w_var=float(w.var()), w_bar=error_bound(g, cfg))
 
 
 def gaussian_one_bit_gain(loss_var):

@@ -1,8 +1,12 @@
 """Channel model checks: unit conversions, noise moments, phase recursion, BSC."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from qflearn import channels
 from qflearn.channels import (
     AWGN,
     NLPN,
@@ -15,6 +19,7 @@ from qflearn.channels import (
     propagate,
 )
 from qflearn.channels import _NLPN_DRAW_NORMALS as CAP
+from qflearn.channels import _NLPN_PIPELINE_SYMBOLS as PIPE
 from qflearn.channels import _gaussian_parts
 from qflearn.channels import _NLPN_ROW_GROUP_NORMALS as ROW_GROUP_CAP
 
@@ -169,11 +174,16 @@ ELIDE_SYMBOLS = 256 * 1024 // 16  # complex128 symbols from which NumPy elides t
 # 64, and 8x8, a stack of 8 uses of 8), blocks of 4 steps with a last block
 # of 2 (CAP // 8), one step per draw (CAP // 2 + 1); 23x64 is a stack of
 # two full row groups and a partial one. Then a 0-d use, one full row group
-# (10x64), and the two sides of NumPy's temporary elision, where the operand
-# order of the step's complex product changes.
+# (10x64), the two sides of NumPy's temporary elision, where the operand
+# order of the step's complex product changes, the two sides of the size
+# from which the noise is drawn on a helper thread, and a stack of two uses
+# that each take the helper.
 @pytest.mark.parametrize(
     "shape",
-    [(1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,), (23, 64), (), (10, 64), (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,)],
+    [
+        (1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,), (23, 64), (), (10, 64),
+        (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,), (PIPE - 1,), (PIPE,), (2, PIPE),
+    ],
 )
 @pytest.mark.parametrize("sigma_sq_dbm", [-21.3, -np.inf])
 def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
@@ -189,6 +199,74 @@ def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if sigma_sq_dbm == -np.inf:
         assert rng.bit_generator.state == start_state  # the noiseless path draws nothing
+
+
+def test_pipeline_cases_draw_one_step_per_draw():
+    """The helper thread is taken only where each draw is one step's noise."""
+    assert CAP // (2 * (PIPE - 1)) <= 1
+    assert 2 * 50 * PIPE > ROW_GROUP_CAP  # a stacked row this wide goes through the single-use path
+
+
+def _fail_after_first_block(x, cfg, noise_blocks):
+    """A step kernel that fails on its first block, after waiting long
+    enough for the helper to fill the queue and block on its next put."""
+    for _ in noise_blocks:
+        time.sleep(0.2)
+        raise RuntimeError("step kernel failed")
+
+
+def _fail_on_third_draw(real_parts):
+    calls = []
+
+    def parts(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise FloatingPointError("draw failed")
+        return real_parts(*args, **kwargs)
+
+    return parts
+
+
+def _bounded_call(fn, *args):
+    """fn(*args) on a worker thread joined within a minute, so a helper that
+    never returns fails the test instead of hanging it; raises what fn
+    raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except Exception as err:  # handed to the test thread below
+            out["error"] = err
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the call did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("exit_kind", ["return", "consumer-error", "producer-error"])
+def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
+    """A call that draws on a helper thread joins it on every exit, and an
+    error on either side reaches the caller."""
+    cfg = ChannelConfig(sigma_sq_dbm=-21.3, **NLPN_DESK)
+    x = np.full(PIPE, 0.5 + 0.5j)
+    args = x, cfg, np.random.default_rng(3)
+    before = threading.active_count()
+    if exit_kind == "return":
+        assert _bounded_call(nlpn, *args).shape == x.shape
+    elif exit_kind == "consumer-error":
+        monkeypatch.setattr(channels, "_nlpn_steps", _fail_after_first_block)
+        with pytest.raises(RuntimeError, match="step kernel failed"):
+            _bounded_call(nlpn, *args)
+    else:
+        monkeypatch.setattr(channels, "_gaussian_parts", _fail_on_third_draw(_gaussian_parts))
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            _bounded_call(nlpn, *args)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (64,), (10, 64), (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,)])
