@@ -277,10 +277,19 @@ class BscConfig:
             raise ValueError("flip_prob must lie in [0, 0.5]")
 
 
-def bsc(bits, cfg, rng):
-    """Flip each bit independently with probability cfg.flip_prob."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if cfg.flip_prob == 0.0:
-        return bits.copy()
-    flips = rng.random(bits.shape) < cfg.flip_prob
-    return bits ^ flips.astype(np.uint8)
+def pack_bits(bits, dtype):
+    """Integers of dtype whose binary digits, MSB first, lie along the last axis of bits."""
+    packed = bits[..., 0].astype(dtype)
+    for j in range(1, bits.shape[-1]):
+        packed <<= 1
+        packed |= bits[..., j]
+    return packed
+
+
+def bsc(codes, q_bits, flip_prob, rng):
+    """Flip each bit of the q_bits-bit codes independently with probability
+    flip_prob. The flips are one rng.random(codes.shape + (q_bits,)) <
+    flip_prob draw, made at flip_prob 0 too, packed MSB first into the
+    codes' dtype and XOR-ed into the codes."""
+    codes = np.asarray(codes)
+    return codes ^ pack_bits(rng.random(codes.shape + (q_bits,)) < flip_prob, codes.dtype)

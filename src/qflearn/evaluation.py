@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import propagate
+from .channels import BscConfig, bsc, propagate
 from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
@@ -269,6 +269,8 @@ def check_grid(bounds, resolution):
     """Raise ValueError unless resolution >= 2 and bounds is a finite (lo, hi) with hi > lo."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
+    if len(bounds) != 2:
+        raise ValueError("bounds must be a [lo, hi] pair")
     lo, hi = bounds
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("bounds must be finite with hi > lo")
@@ -640,18 +642,18 @@ def verify_quantized_gradient_scaling(
     return reports
 
 
-def _flip_mask(flips):
-    """The XOR mask on q-bit level codes of MSB-first flip indicators (N, q)."""
-    mask = flips[:, 0].astype(np.uint8)
-    for j in range(1, flips.shape[1]):
-        mask <<= 1
-        mask |= flips[:, j]
-    return mask
-
-
 def _mean_level(cfg, flip_draws):
     """The rule expanding a sum of flip_draws level codes to the level of their mean."""
     return lambda sums: cfg.reconstruct(sums / flip_draws)
+
+
+def check_bitflip_claim(q_bits_list, flip_probs):
+    """Raise ValueError unless every p is a BscConfig flip probability and
+    every q a bit width the (1 - 2p) scaling is claimed for."""
+    for p in flip_probs:
+        BscConfig(p)
+    if bad := [q for q in q_bits_list if q not in (1, 2)]:
+        raise ValueError(f"the (1 - 2p) scaling is only claimed for 1- or 2-bit quantizers; got q_bits={bad}")
 
 
 def verify_bitflip_gradient_scaling(
@@ -674,20 +676,13 @@ def verify_bitflip_gradient_scaling(
     V{gamma_q} + 4p(1-p)||grad_q||^2 + p*tr(J) is evaluated as well, on a
     single flip realization since the bound is about per-sample spread
     (bound fields are NaN for other bit widths, where no bound is claimed).
-    A flip is an XOR of the sent level code, and every weight is held as
-    level codes or their sum over the draws (see CodedWeight).
+    The sent level codes go through channels.bsc one chunk at a time, and
+    every weight is held as level codes or their sum over the draws (see
+    CodedWeight).
 
     Returns {(q_bits, p): ScalingReport}.
     """
-    for p in flip_probs:
-        if not 0.0 <= p <= 0.5:
-            raise ValueError("flip probability must lie in [0, 0.5]")
-    for q in q_bits_list:
-        if q not in (1, 2):
-            raise ValueError(
-                "the (1 - 2p) scaling holds for 1- and 2-bit quantizers with the "
-                f"natural bit mapping; got q_bits={q}"
-            )
+    check_bitflip_claim(q_bits_list, flip_probs)
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
     pre = _preprocessed_losses(sample_set, clip_fraction)
@@ -700,9 +695,9 @@ def verify_bitflip_gradient_scaling(
         for p in flip_probs:
             index_sum = np.zeros(pre.shape, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))
             for draw in range(flip_draws):
-                received = sent.copy()
+                received = np.empty_like(sent)
                 for sl in _chunks(pre.size):
-                    received[sl] ^= _flip_mask(rng.random((sl.stop - sl.start, q)) < p)
+                    received[sl] = bsc(sent[sl], q, p, rng)
                 if draw == 0 and q == 1:
                     weights[f"ev_q{q}_p{p}"] = CodedWeight(received, cfg.reconstruct)
                 index_sum += received

@@ -14,25 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import bsc
+from .channels import bsc, pack_bits
 
 CLIP = "clip"
 BASELINE = "baseline"
 SCALE = "scale"
 
 DEFAULT_CLIP_FRACTION = 0.05
+# Level indices are int64, and a loss of 1 falls in cell floor(2^q) before
+# the clamp: q = 63 already overflows and sends the largest loss to level 0.
+MAX_Q_BITS = 62
 
 
 @dataclass
 class QuantizerConfig:
+    """A fixed uniform q-bit quantizer over [0, 1]."""
+
     q_bits: int
-    l_bar: float = 1.0  # upper end of the quantizer range (1 after pre-processing)
 
     def __post_init__(self):
         if self.q_bits < 1:
             raise ValueError("q_bits must be >= 1")
-        if self.l_bar <= 0.0:
-            raise ValueError("l_bar must be positive")
+        if self.q_bits > MAX_Q_BITS:
+            raise ValueError(f"q_bits must be <= {MAX_Q_BITS} (int64 level indices)")
 
     @property
     def num_levels(self):
@@ -40,7 +44,7 @@ class QuantizerConfig:
 
     @property
     def delta(self):
-        return self.l_bar / self.num_levels
+        return 1.0 / self.num_levels
 
     def reconstruct(self, indices):
         """Mid-cell reconstruction value delta/2 + m*delta of level index m."""
@@ -63,12 +67,9 @@ class PreprocessStats:
 class LossBatch:
     """Per-sample losses at each feedback pipeline stage."""
 
-    raw: np.ndarray
     transformed: np.ndarray  # in [0, 1]
     levels: np.ndarray  # quantized reconstruction values at the receiver
-    bits: np.ndarray  # (B, q) uint8, MSB first
-    received_bits: np.ndarray  # after the binary feedback channel
-    reconstructed: np.ndarray  # dequantized values used by the transmitter
+    reconstructed: np.ndarray  # of the received level codes, used by the transmitter
     stats: PreprocessStats
 
 
@@ -112,7 +113,7 @@ def level_indices(l, cfg):
     """Cell index floor(l/delta), clamped into {0, ..., 2^q - 1}.
 
     Values at interior thresholds fall in the upper cell (floor semantics);
-    the clamp puts l = l_bar (and anything beyond the range) in the end cells.
+    the clamp puts l = 1 (and anything beyond the range) in the end cells.
     """
     idx = np.floor(np.asarray(l, dtype=np.float64) / cfg.delta).astype(np.int64)
     return np.clip(idx, 0, cfg.num_levels - 1)
@@ -132,23 +133,17 @@ def indices_to_bits(indices, cfg):
 
 def bits_to_indices(bits, cfg):
     """Level indices of MSB-first bit vectors (bool or integer), shape (...)."""
-    bits = np.asarray(bits)
-    if not np.can_cast(bits.dtype, np.int64):  # uint64 or float bits cannot be OR-ed into int64
-        bits = bits.astype(np.int64)
+    bits = np.asarray(bits).astype(np.int64, copy=False)  # uint64 or float bits would not OR into int64
     if bits.shape[-1] != cfg.q_bits:
         raise ValueError(f"expected {cfg.q_bits} bits per value, got {bits.shape[-1]}")
-    indices = bits[..., 0].astype(np.int64)
-    for j in range(1, cfg.q_bits):
-        indices <<= 1
-        indices |= bits[..., j]
-    return indices
+    return pack_bits(bits, np.int64)
 
 
 def quantize(l, cfg):
     """Quantize l in [0, 1] to (level, bits) with the natural bit mapping."""
     arr = np.asarray(l, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > cfg.l_bar):
-        raise ValueError(f"loss outside [0, {cfg.l_bar}]")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError("loss outside [0, 1]")
     idx = level_indices(arr, cfg)
     return cfg.reconstruct(idx), indices_to_bits(idx, cfg)
 
@@ -161,27 +156,17 @@ def dequantize(bits, cfg):
 def feedback_roundtrip(raw, qcfg, bsc_cfg=None, rng=None, clip_fraction=DEFAULT_CLIP_FRACTION):
     """Run a raw loss batch through the full feedback pipeline.
 
-    preprocess -> quantize -> bits -> [BSC] -> dequantize. Pass bsc_cfg=None
-    (or flip_prob 0) for a noiseless binary link.
+    preprocess -> level codes -> [BSC] -> mid-cell reconstruction. Pass
+    bsc_cfg=None (or flip_prob 0) for a noiseless binary link, which draws
+    nothing from rng.
     """
     transformed, stats = preprocess(raw, clip_fraction)
-    levels, bits = quantize(transformed, qcfg)
+    codes = received = level_indices(transformed, qcfg)
     if bsc_cfg is not None and bsc_cfg.flip_prob > 0.0:
         if rng is None:
             raise ValueError("a noisy feedback link needs an rng")
-        received = bsc(bits, bsc_cfg, rng)
-    else:
-        received = bits.copy()
-    reconstructed = dequantize(received, qcfg)
-    return LossBatch(
-        raw=np.asarray(raw, dtype=np.float64),
-        transformed=transformed,
-        levels=levels,
-        bits=bits,
-        received_bits=received,
-        reconstructed=reconstructed,
-        stats=stats,
-    )
+        received = bsc(codes, qcfg.q_bits, bsc_cfg.flip_prob, rng)
+    return LossBatch(transformed, qcfg.reconstruct(codes), qcfg.reconstruct(received), stats)
 
 
 def distortion(losses, cfg):
@@ -189,9 +174,7 @@ def distortion(losses, cfg):
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("empty loss batch")
-    if np.any(losses < 0.0) or np.any(losses > cfg.l_bar):
-        raise ValueError(f"loss outside [0, {cfg.l_bar}]")
-    err = losses - quantize_value(losses, cfg)
+    err = losses - quantize(losses, cfg)[0]
     return float(np.mean(err * err))
 
 

@@ -39,6 +39,13 @@ PHASE_TX = "tx"
 METRICS_COLUMNS = ("outer_iter", "phase", "step", "empirical_loss", "grad_norm", "g_estimate", "ser")
 
 
+def check_counts(cfg, *names):
+    """Raise ValueError naming the first of cfg's named counts below 1."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass
 class TrainingConfig:
     num_iterations: int  # outer iterations, each N_R rx steps then N_T tx steps
@@ -58,15 +65,14 @@ class TrainingConfig:
     def __post_init__(self):
         if self.num_iterations < 0:
             raise ValueError("num_iterations must be >= 0")
-        for name in ("num_messages", "n_rx_steps", "n_tx_steps", "batch_rx", "batch_tx", "ser_every", "ser_symbols"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        counts = ("num_messages", "n_rx_steps", "n_tx_steps", "batch_rx", "batch_tx", "ser_every", "ser_symbols")
+        check_counts(self, *counts)
         if not (0.0 < self.lr_rx < math.inf and 0.0 < self.lr_tx < math.inf):
             raise ValueError("learning rates must be positive and finite")
         if not 0.0 <= self.clip_fraction < 1.0:
             raise ValueError("clip_fraction must lie in [0, 1)")
         if self.bsc is not None and self.quantizer is None:
-            raise ValueError("a binary feedback channel requires a quantizer")
+            raise ValueError("bsc requires a quantizer")
 
 
 @dataclass
@@ -146,7 +152,7 @@ def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
 
     The receiver is frozen; it computes per-sample cross-entropy losses on
     the perturbed transmission, and the transmitter sees those losses either
-    raw (cfg.quantizer None) or after preprocess/quantize/[bit flips]/dequantize.
+    raw (cfg.quantizer None) or after preprocess/level codes/[bit flips]/reconstruction.
     Returns (empirical_loss, grad_norm, g_estimate).
     """
     sigma_p_sq = exploration_variance(channel_cfg.P_mw)

@@ -22,6 +22,7 @@ from qflearn.channels import _NLPN_DRAW_NORMALS as CAP
 from qflearn.channels import _NLPN_PIPELINE_SYMBOLS as PIPE
 from qflearn.channels import _gaussian_parts
 from qflearn.channels import _NLPN_ROW_GROUP_NORMALS as ROW_GROUP_CAP
+from qflearn.feedback import QuantizerConfig, indices_to_bits
 
 
 def test_dbm_conversions():
@@ -366,12 +367,25 @@ def test_channel_config_validation():
 
 def test_bsc_flip_rate_and_identity():
     rng = np.random.default_rng(13)
-    bits = rng.integers(0, 2, size=(200_000, 2)).astype(np.uint8)
-    noisy = bsc(bits, BscConfig(flip_prob=0.1), rng)
-    assert np.mean(noisy != bits) == pytest.approx(0.1, rel=0.03)
-    clean = bsc(bits, BscConfig(flip_prob=0.0), rng)
-    np.testing.assert_array_equal(clean, bits)
-    assert clean is not bits
+    cfg = QuantizerConfig(2)
+    codes = rng.integers(0, cfg.num_levels, size=200_000)
+    noisy = bsc(codes, cfg.q_bits, 0.1, rng)
+    assert np.mean(indices_to_bits(noisy, cfg) != indices_to_bits(codes, cfg)) == pytest.approx(0.1, rel=0.03)
+    clean = bsc(codes, cfg.q_bits, 0.0, rng)
+    np.testing.assert_array_equal(clean, codes)
+    assert clean is not codes
+
+
+def test_bsc_draws_at_zero_flip_prob_and_keeps_the_code_dtype():
+    """One uniform per bit, MSB first, whatever the flip probability."""
+    codes = np.array([0, 5, 7, 2], dtype=np.uint8)
+    rng, twin = np.random.default_rng(14), np.random.default_rng(14)
+    for p in (0.0, 0.3, 0.5):
+        received = bsc(codes, 3, p, rng)
+        flips = twin.random((4, 3)) < p
+        assert received.dtype == np.uint8
+        np.testing.assert_array_equal(received, codes ^ (flips @ np.array([4, 2, 1])))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_bsc_flip_prob_range():

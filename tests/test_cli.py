@@ -114,6 +114,17 @@ def test_include_qam16_ml_must_be_a_json_boolean(tmp_path, capsys, value):
     assert not any(out.iterdir())  # rejected before training
 
 
+@pytest.mark.parametrize("output_dir", [5, None, "", ["out"]])
+def test_output_dir_that_is_not_a_nonempty_string_exits_2(tmp_path, capsys, monkeypatch, output_dir):
+    monkeypatch.chdir(tmp_path)
+    cfg = base_config(tmp_path / "out")
+    cfg["output_dir"] = output_dir
+    path = write_config(tmp_path, cfg)
+    assert main(["train", path]) == 2
+    assert f"invalid config: output_dir must be a non-empty string, got {output_dir!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_bsc_without_quantizer_rejected(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["bsc"] = {"flip_prob": 0.1}
@@ -220,6 +231,7 @@ def test_minus_infinity_rejected_outside_noise_power(tmp_path, capsys, section, 
     [
         ("quantizer", {"q_bits": 0}, "q_bits must be >= 1"),
         ("bsc", {"flip_prob": 0.7}, "flip_prob must lie in [0, 0.5]"),
+        ("quantizer", {"q_bits": 63}, "q_bits must be <= 62"),
     ],
 )
 def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, message):
@@ -253,6 +265,8 @@ def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, m
         ("decision-regions", "grid", {"bounds": [1.0, -1.0], "resolution": 5}, "bounds must be finite with hi > lo"),
         ("bussgang", "bussgang", {"loss_std": -0.1, "num_samples": 1000}, "loss_std must be positive and finite"),
         ("bussgang", "bussgang", {"loss_std": 0.0, "num_samples": 1000}, "loss_std must be positive and finite"),
+        ("verify", "verify", {"num_samples": 1000, "quantized_bits": [63]}, "q_bits must be <= 62"),
+        ("bussgang", "bussgang", {"q_bits": [64], "num_samples": 1000}, "q_bits must be <= 62"),
     ],
 )
 def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, command, section, body, message):

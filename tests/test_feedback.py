@@ -9,6 +9,7 @@ from qflearn.channels import BscConfig
 from qflearn.feedback import (
     BASELINE,
     CLIP,
+    MAX_Q_BITS,
     SCALE,
     QuantizerConfig,
     bits_to_indices,
@@ -250,13 +251,19 @@ def test_fine_quantizer_gain_approaches_one():
 # end-to-end feedback link
 
 
+# The level code of a reconstruction value is its cell: level_indices of
+# batch.levels gives the sent codes, of batch.reconstructed the received ones.
+
+
 def test_roundtrip_noiseless_reconstructs_levels():
     rng = np.random.default_rng(26)
     raw = rng.exponential(1.0, size=64)
-    batch = feedback_roundtrip(raw, QuantizerConfig(2))
-    np.testing.assert_array_equal(batch.received_bits, batch.bits)
+    cfg = QuantizerConfig(2)
+    batch = feedback_roundtrip(raw, cfg)
+    sent = level_indices(batch.levels, cfg)
+    np.testing.assert_array_equal(level_indices(batch.reconstructed, cfg), sent)
     np.testing.assert_allclose(batch.reconstructed, batch.levels, atol=1e-15)
-    assert batch.bits.shape == (64, 2)
+    assert indices_to_bits(sent, cfg).shape == (64, 2)
     # reconstruction error never exceeds half a cell on the transformed loss
     assert np.max(np.abs(batch.reconstructed - batch.transformed)) <= 0.125 + 1e-15
 
@@ -264,13 +271,30 @@ def test_roundtrip_noiseless_reconstructs_levels():
 def test_roundtrip_bsc_flips_bits():
     rng = np.random.default_rng(27)
     raw = np.tile([0.1, 0.9], 2048)
-    batch = feedback_roundtrip(
-        raw, QuantizerConfig(1), bsc_cfg=BscConfig(flip_prob=0.25), rng=rng
-    )
-    flip_rate = np.mean(batch.received_bits != batch.bits)
+    cfg = QuantizerConfig(1)
+    batch = feedback_roundtrip(raw, cfg, bsc_cfg=BscConfig(flip_prob=0.25), rng=rng)
+    sent = indices_to_bits(level_indices(batch.levels, cfg), cfg)
+    flip_rate = np.mean(indices_to_bits(level_indices(batch.reconstructed, cfg), cfg) != sent)
     assert flip_rate == pytest.approx(0.25, rel=0.1)
     # reconstructions still come from the quantizer's level set
     assert set(np.unique(batch.reconstructed)) <= {0.25, 0.75}
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+def test_roundtrip_matches_the_bit_path(q, p):
+    """The roundtrip flips level codes; the bit path it replaced flipped the
+    (B, q) natural bit vectors with the same draws. Same bits, same state."""
+    cfg = QuantizerConfig(q)
+    raw_rng = np.random.default_rng(40 + q)
+    rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(5):
+        raw = raw_rng.exponential(1.0, size=64)
+        batch = feedback_roundtrip(raw, cfg, BscConfig(flip_prob=p), rng)
+        bits = indices_to_bits(level_indices(preprocess(raw)[0], cfg), cfg)
+        received = bits ^ (twin.random(bits.shape) < p)
+        assert batch.reconstructed.tobytes() == cfg.reconstruct(bits_to_indices(received, cfg)).tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_roundtrip_noisy_needs_rng():
@@ -281,17 +305,23 @@ def test_roundtrip_noisy_needs_rng():
 
 
 def test_roundtrip_degenerate_batch_sends_zero_codeword():
-    batch = feedback_roundtrip(np.full(32, 1.7), QuantizerConfig(2))
+    cfg = QuantizerConfig(2)
+    batch = feedback_roundtrip(np.full(32, 1.7), cfg)
     assert batch.stats.degenerate
-    np.testing.assert_array_equal(batch.bits, np.zeros((32, 2), dtype=np.uint8))
+    sent_bits = indices_to_bits(level_indices(batch.levels, cfg), cfg)
+    np.testing.assert_array_equal(sent_bits, np.zeros((32, 2), dtype=np.uint8))
     np.testing.assert_allclose(batch.reconstructed, np.full(32, 0.125))
 
 
 def test_quantizer_config_validation():
     with pytest.raises(ValueError):
         QuantizerConfig(0)
-    with pytest.raises(ValueError):
-        QuantizerConfig(2, l_bar=0.0)
+    with pytest.raises(ValueError, match="q_bits must be <= 62"):
+        QuantizerConfig(MAX_Q_BITS + 1)
+    # The widest quantizer still puts a loss of 1 in its top cell; one bit
+    # more and the int64 cell index would overflow.
+    widest = QuantizerConfig(MAX_Q_BITS)
+    np.testing.assert_array_equal(level_indices(np.array([0.0, 1.0]), widest), [0, widest.num_levels - 1])
 
 
 def test_level_indices_clamp_out_of_range():

@@ -37,7 +37,7 @@ try:
 except ImportError:  # NumPy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
 
-MANIFEST = Path(__file__).with_name("golden.json")
+MANIFEST = Path(__file__).resolve().with_name("golden.json")
 CPU_FEATURES = ("FMA3", "AVX2", "AVX512F", "AVX512_SKX")
 
 AWGN = {"family": "awgn", "sigma_sq_dbm": -21.3, "P_dbm": -6.3}
@@ -115,7 +115,8 @@ def artifact_digests():
 def test_artifacts_match_the_golden_manifest(tmp_path, monkeypatch):
     manifest = json.loads(MANIFEST.read_text())
     stamp = environment_stamp()
-    differs = {key: (manifest["stamp"][key], stamp[key]) for key in stamp if manifest["stamp"].get(key) != stamp[key]}
+    recorded = manifest["stamp"]
+    differs = {key: (recorded.get(key), stamp[key]) for key in stamp if recorded.get(key) != stamp[key]}
     if differs:
         pytest.skip(f"digests not compared: recorded (stamp, this machine) differ in {differs}")
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
