@@ -56,17 +56,15 @@ def _chunks(total, chunk=DEFAULT_CHUNK):
         yield slice(start, min(start + chunk, total))
 
 
-def _receive_rows(rx, y):
-    """Receiver probabilities for every row of y, what receive(rx, y)
-    returns without its tape, from passes of RECEIVE_ROWS to
-    2 * RECEIVE_ROWS - 1 rows (one pass when y is shorter), each written
-    into one output array."""
-    probs = np.empty((len(y), rx.out_dim))
+def _receive_passes(rx, y):
+    """(rows, probs) of each receiver pass over y, where probs is what
+    receive(rx, y[rows]) returns without its tape. The passes take
+    RECEIVE_ROWS to 2 * RECEIVE_ROWS - 1 consecutive rows (one pass when y
+    is shorter), so no caller holds the probabilities of every row."""
     start = 0
     for part in np.array_split(y, max(len(y) // RECEIVE_ROWS, 1)):
-        probs[start : start + len(part)] = receive(rx, part)[0]
+        yield slice(start, start + len(part)), receive(rx, part)[0]
         start += len(part)
-    return probs
 
 
 def binomial_stderr(p_hat, n):
@@ -102,7 +100,7 @@ class ReceiverDetector:
         self.rx = rx
 
     def decide(self, y):
-        return np.argmax(_receive_rows(self.rx, y), axis=1)
+        return np.concatenate([np.argmax(probs, axis=1) for _, probs in _receive_passes(self.rx, y)])
 
 
 class ExactAwgnDetector:
@@ -113,8 +111,19 @@ class ExactAwgnDetector:
 
     def decide(self, y):
         y = np.asarray(y, dtype=np.complex128)
-        d2 = np.abs(y[:, None] - self.points[None, :]) ** 2
-        return np.argmin(d2, axis=1)
+        return _first_best((-(np.abs(y - point) ** 2) for point in self.points), y.shape)
+
+
+def _first_best(scores, shape):
+    """Index of the largest of one score array per point, elementwise; the
+    lowest index wins ties. Holds one point's scores at a time."""
+    choice = np.zeros(shape, dtype=np.intp)
+    best = np.full(shape, -math.inf)
+    for m, score in enumerate(scores):
+        better = score > best
+        best[better] = score[better]
+        choice[better] = m
+    return choice
 
 
 # Radii within this relative distance share a ring table: a rotated
@@ -205,15 +214,9 @@ class SampledNlpnDetector:
 
     def decide(self, y):
         y = np.asarray(y, dtype=np.complex128)
-        choice = np.zeros(y.shape, dtype=np.intp)
-        best = np.full(y.shape, -math.inf)
-        for m, (frame, ring) in enumerate(zip(self.frames, self.ring_of)):
-            z = y * frame
-            score = self.log_density[ring][self._cell(z.real), self._cell(z.imag)]
-            better = score > best
-            best[better] = score[better]
-            choice[better] = m
-        return choice
+        rotated = ((y * frame, ring) for frame, ring in zip(self.frames, self.ring_of))
+        scores = (self.log_density[ring][self._cell(z.real), self._cell(z.imag)] for z, ring in rotated)
+        return _first_best(scores, y.shape)
 
 
 def detector_ser(points, detector, channel_cfg, num_symbols, rng):
@@ -301,10 +304,10 @@ class ScoreSampleSet:
 
     The score of sample k is jac[messages[k]]^T @ (2*perturbations[k]/sigma_p_sq);
     storing (message, perturbation, raw loss) instead of score vectors keeps
-    10^6 samples at ~32 MB.
+    10^6 samples at ~25 MB.
     """
 
-    messages: np.ndarray  # (N,) int
+    messages: np.ndarray  # (N,) in the smallest unsigned dtype that holds M - 1
     perturbations: np.ndarray  # (N, 2) exploration noise actually applied
     raw_losses: np.ndarray  # (N,) receiver cross-entropy per sample
     jac: np.ndarray  # (M, 2, P) constellation Jacobian
@@ -333,15 +336,14 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
     """
     sigma_p_sq = exploration_variance(channel_cfg.P_mw)
     points, jac = constellation_jacobian(tx, num_messages, channel_cfg.P_mw)
-    messages = np.empty(num_samples, dtype=np.int64)
+    messages = np.empty(num_samples, dtype=np.min_scalar_type(num_messages - 1))
     perturbations = np.empty((num_samples, 2))
     raw_losses = np.empty(num_samples)
     for sl in _chunks(num_samples):
-        m = rng.integers(0, num_messages, size=sl.stop - sl.start)
+        messages[sl] = m = rng.integers(0, num_messages, size=sl.stop - sl.start)
         perturbed, perturbations[sl] = perturb(points[m], sigma_p_sq, rng)
-        probs = _receive_rows(rx, propagate(real_to_complex(perturbed), channel_cfg, rng))
-        messages[sl] = m
-        raw_losses[sl] = cross_entropy_losses(probs, m)
+        for rows, probs in _receive_passes(rx, propagate(real_to_complex(perturbed), channel_cfg, rng)):
+            raw_losses[sl][rows] = cross_entropy_losses(probs, m[rows])
     return ScoreSampleSet(
         messages=messages,
         perturbations=perturbations,
@@ -383,7 +385,10 @@ def _ones_weight(n):
 def _level_codes(losses, cfg):
     """The q-bit level index of each loss, in the smallest unsigned dtype
     that holds 2^q - 1. cfg.reconstruct expands them to the levels."""
-    return level_indices(losses, cfg).astype(np.min_scalar_type(cfg.num_levels - 1))
+    codes = np.empty(losses.shape, dtype=np.min_scalar_type(cfg.num_levels - 1))
+    for sl in _chunks(losses.size):  # no full-length float64 or int64 index copy
+        codes[sl] = level_indices(losses[sl], cfg)
+    return codes
 
 
 @dataclass
@@ -424,12 +429,12 @@ def _pair_key(a, b):
 def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
     """One chunked pass over the samples computing the weighted moments.
 
-    weights maps names to float64 vectors or CodedWeights, each expanded
-    once per chunk. Every weight gets its mean vector, its mean and its
-    diagonal gram entry with that entry's fourth moment; pairs lists the
-    (a, b) name pairs whose gram entries are accumulated as well. Mean
-    vectors are accumulated per message as sum_k a_k u_k and contracted with
-    the Jacobian once at the end, so no (N, P) score matrix ever exists.
+    weights maps names to float64 vectors or CodedWeights, whose chunks are
+    expanded where they are used. Every weight gets its mean vector, its
+    mean and its diagonal gram entry with that entry's fourth moment; pairs
+    lists the (a, b) name pairs whose gram entries are accumulated as well.
+    Mean vectors are accumulated per message as sum_k a_k u_k and contracted
+    with the Jacobian once at the end, so no (N, P) score matrix ever exists.
     """
     names = list(weights)
     n = sample_set.num_samples
@@ -444,21 +449,21 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
     gram = _gram_blocks(sample_set.jac)
     acc_bins = np.arange(2 * num_messages)
     for sl in _chunks(n, chunk):
-        m = sample_set.messages[sl]
+        m = sample_set.messages[sl].astype(np.intp)  # 2 * m must not wrap
         u = score_upstream(sample_set.perturbations[sl], sample_set.sigma_p_sq)
         norms_sq = _score_norms_sq(gram, m, u)
         # One bincount adds the accumulator and then each sample's row in
         # sample order, the same sums in the same order as np.add.at.
         bins = np.concatenate([acc_bins, (2 * m[:, None] + np.arange(2)).ravel()])
-        wv = {name: weights[name][sl] for name in names}
-        for name, w in wv.items():
+        for name in names:
+            w = weights[name][sl]
             values = np.concatenate([acc_u[name].ravel(), (w[:, None] * u).ravel()])
             acc_u[name] = np.bincount(bins, values, 2 * num_messages).reshape(num_messages, 2)
             prod = w * w * norms_sq
             acc_gram[(name, name)] += float(prod.sum())
             acc_fourth[name] += float((prod * prod).sum())
         for a, b in pairs:
-            acc_gram[(a, b)] += float((wv[a] * wv[b] * norms_sq).sum())
+            acc_gram[(a, b)] += float((weights[a][sl] * weights[b][sl] * norms_sq).sum())
     return ScoreMoments(
         means={name: np.einsum("mc,mcp->p", acc_u[name], sample_set.jac) / n for name in names},
         weight_means={name: float(weights[name].mean()) for name in names},
@@ -643,8 +648,14 @@ def verify_quantized_gradient_scaling(
 
 
 def _mean_level(cfg, flip_draws):
-    """The rule expanding a sum of flip_draws level codes to the level of their mean."""
-    return lambda sums: cfg.reconstruct(sums / flip_draws)
+    """The rule expanding a sum of flip_draws level codes to the level of
+    their mean, cfg.reconstruct(sums / flip_draws) in one float64 array."""
+
+    def expand(sums):
+        levels = sums / flip_draws
+        return np.add(np.multiply(levels, cfg.delta, out=levels), cfg.delta / 2.0, out=levels)
+
+    return expand
 
 
 def check_bitflip_claim(q_bits_list, flip_probs):
@@ -686,17 +697,19 @@ def verify_bitflip_gradient_scaling(
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
     pre = _preprocessed_losses(sample_set, clip_fraction)
-    weights = {"ones": _ones_weight(pre.size)}
+    n = pre.size
+    sent_codes = [_level_codes(pre, QuantizerConfig(q)) for q in q_bits_list]
+    del pre  # every flip draw starts from the sent codes
+    weights = {"ones": _ones_weight(n)}
     pairs = []
-    for q in q_bits_list:
+    for q, sent in zip(q_bits_list, sent_codes):
         cfg = QuantizerConfig(q)
-        sent = _level_codes(pre, cfg)
         weights[f"q{q}"] = CodedWeight(sent, cfg.reconstruct)
         for p in flip_probs:
-            index_sum = np.zeros(pre.shape, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))
+            index_sum = np.zeros(n, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))
             for draw in range(flip_draws):
                 received = np.empty_like(sent)
-                for sl in _chunks(pre.size):
+                for sl in _chunks(n):
                     received[sl] = bsc(sent[sl], q, p, rng)
                 if draw == 0 and q == 1:
                     weights[f"ev_q{q}_p{p}"] = CodedWeight(received, cfg.reconstruct)

@@ -48,7 +48,9 @@ class QuantizerConfig:
 
     def reconstruct(self, indices):
         """Mid-cell reconstruction value delta/2 + m*delta of level index m."""
-        return self.delta / 2.0 + self.delta * indices
+        levels = self.delta * indices
+        levels += self.delta / 2.0  # in place; a real sum's bits do not depend on operand order
+        return levels
 
     def levels(self):
         """All reconstruction values, m = 0..2^q - 1."""
@@ -97,15 +99,14 @@ def preprocess(raw, clip_fraction=DEFAULT_CLIP_FRACTION):
     n = raw.size
     # Clip count capped at n-1 so at least one value stays unclipped.
     n_clip = min(int(np.ceil(clip_fraction * n)), n - 1)
-    srt = np.sort(raw)
-    l_max = float(srt[n - 1 - n_clip])
-    l_min = float(srt[0])
+    l_min, l_max = np.sort(raw)[[0, n - 1 - n_clip]].tolist()  # the sorted copy dies here
     clip_count = int(np.count_nonzero(raw > l_max))
     if l_max <= l_min:
         stats = PreprocessStats(l_min, l_max, clip_count, degenerate=True)
         return np.zeros_like(raw), stats
-    clipped = np.minimum(raw, l_max)
-    transformed = (clipped - l_min) / (l_max - l_min)
+    transformed = np.minimum(raw, l_max)
+    transformed -= l_min
+    transformed /= l_max - l_min
     return transformed, PreprocessStats(l_min, l_max, clip_count)
 
 
@@ -114,9 +115,10 @@ def level_indices(l, cfg):
 
     Values at interior thresholds fall in the upper cell (floor semantics);
     the clamp puts l = 1 (and anything beyond the range) in the end cells.
+    The float clamp to [0, 2^q] comes first, so no cell wraps in the cast.
     """
-    idx = np.floor(np.asarray(l, dtype=np.float64) / cfg.delta).astype(np.int64)
-    return np.clip(idx, 0, cfg.num_levels - 1)
+    cells = np.clip(np.floor(np.asarray(l, dtype=np.float64) / cfg.delta), 0, cfg.num_levels)
+    return np.minimum(cells.astype(np.int64), cfg.num_levels - 1)
 
 
 def quantize_value(l, cfg):
@@ -142,7 +144,7 @@ def bits_to_indices(bits, cfg):
 def quantize(l, cfg):
     """Quantize l in [0, 1] to (level, bits) with the natural bit mapping."""
     arr = np.asarray(l, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails both
         raise ValueError("loss outside [0, 1]")
     idx = level_indices(arr, cfg)
     return cfg.reconstruct(idx), indices_to_bits(idx, cfg)

@@ -25,7 +25,8 @@ from qflearn.evaluation import (
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
-from qflearn.evaluation import RECEIVE_ROWS, _gram_blocks, _receive_rows, _score_norms_sq
+from qflearn.evaluation import RECEIVE_ROWS, _gram_blocks, _mean_level, _receive_passes, _score_norms_sq
+from qflearn.feedback import QuantizerConfig
 from qflearn.neuralnet import LINEAR, SOFTMAX, DenseNetwork
 from qflearn.training import MetricsRecord, PHASE_RX, PHASE_TX
 from qflearn.transceiver import (
@@ -103,6 +104,29 @@ def test_qam16_closed_form_oracle_values():
     assert qam16_ser_closed_form(12.0) / qam16_ser_closed_form(15.0) > 3.5
     assert qam16_ser_closed_form(40.0) < 1e-12
     assert 0.5 < qam16_ser_closed_form(0.0) < 0.8
+
+
+def broadcast_nearest_point(points, y):
+    """The (N, M) broadcast argmin ExactAwgnDetector.decide replaced."""
+    return np.argmin(np.abs(y[:, None] - points[None, :]) ** 2, axis=1)
+
+
+def test_exact_awgn_detector_equals_broadcast_argmin_ties_included():
+    """Same labels as the broadcast argmin, on random observations and on
+    observations equidistant from two or four points (the first wins)."""
+    points = qam16()
+    rng = np.random.default_rng(14)
+    y = np.concatenate(
+        [
+            rng.normal(size=5000) + 1j * rng.normal(size=5000),
+            (points[:-1] + points[1:]) / 2.0,  # midpoints of neighbours along a row
+            np.zeros(1),  # the centre, equidistant from the four inner points
+            np.array([np.inf, complex(0.0, -np.inf)]),
+        ]
+    )
+    got = ExactAwgnDetector(points).decide(y)
+    assert got.dtype == np.intp
+    assert got.tobytes() == broadcast_nearest_point(points, y).tobytes()
 
 
 def test_exact_awgn_detector_is_nearest_point():
@@ -235,7 +259,11 @@ def test_receive_rows_equals_one_receive_call(rows):
     rx = build_receiver(16, np.random.default_rng(8))
     src = np.random.default_rng(9)
     y = 0.3 * (src.normal(size=rows) + 1j * src.normal(size=rows))
-    assert _receive_rows(rx, y).tobytes() == receive(rx, y)[0].tobytes()
+    whole = receive(rx, y)[0]
+    passes = list(_receive_passes(rx, y))
+    assert np.array_equal(np.concatenate([np.arange(rows)[part] for part, _ in passes]), np.arange(rows))
+    for part, probs in passes:
+        assert probs.tobytes() == whole[part].tobytes()
 
 
 def test_decision_regions_equal_one_receive_call():
@@ -248,35 +276,53 @@ def test_decision_regions_equal_one_receive_call():
     assert grid.labels.tobytes() == np.argmax(probs, axis=1).reshape(91, 91).tobytes()
 
 
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_collect_score_samples_holds_no_full_chunk_tape():
     """One receiver forward pass over a 65,536-sample chunk peaks at about
-    70 MB (tracemalloc); in row blocks the call peaks far below that."""
+    70 MB (tracemalloc). In row blocks written into a (65,536, 16)
+    probability array it peaked at 17.9 MB; with each block's losses taken
+    before the next block runs it peaks at 9.5 MB. The bound leaves 1.5 MB
+    of margin."""
     tx = build_transmitter(16, np.random.default_rng(10))
     rx = build_receiver(16, np.random.default_rng(11))
-    tracemalloc.start()
-    try:
-        collect_score_samples(tx, rx, CHANNEL, 16, 65_536, np.random.default_rng(12))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    peak = traced_peak(lambda: collect_score_samples(tx, rx, CHANNEL, 16, 65_536, np.random.default_rng(12)))
+    assert peak < 11e6
 
 
-def test_verify_bitflip_holds_weights_as_level_codes():
+@pytest.fixture(scope="module")
+def verify_samples():
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    return collect_score_samples(tx, rx, CHANNEL, 16, 200_000, np.random.default_rng(12))
+
+
+def test_verify_bitflip_holds_weights_as_level_codes(verify_samples):
     """The default bit-flip check has twelve weights. As float64 vectors
     they take 1.6 MB each at 200,000 samples and the call peaked at 31.4 MB
-    (tracemalloc); as level codes its peak is about 21 MB, mostly the
-    working set of one 65,536-sample chunk."""
-    tx = build_transmitter(16, np.random.default_rng(10))
-    rx = build_receiver(16, np.random.default_rng(11))
-    samples = collect_score_samples(tx, rx, CHANNEL, 16, 200_000, np.random.default_rng(12))
-    tracemalloc.start()
-    try:
-        verify_bitflip_gradient_scaling(samples, np.random.default_rng(13))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 26e6
+    (tracemalloc); as level codes, 21.3 MB. With the pre-processed losses
+    dropped once the sent codes exist, and each weight's chunk expanded
+    where it is used instead of all twelve at once, it peaks at 10.4 MB.
+    The bound leaves 1.6 MB of margin."""
+    peak = traced_peak(lambda: verify_bitflip_gradient_scaling(verify_samples, np.random.default_rng(13)))
+    assert peak < 12e6
+
+
+def test_verify_quantized_holds_two_full_length_temporaries(verify_samples):
+    """At 200,000 samples the quantized check peaks at 10.2 MB (tracemalloc):
+    the pre-processed losses, their level codes, a gain's levels and their
+    product with the losses (1.6 MB each), then one chunk of score_moments.
+    Full-length float64 level-index copies added 1.1 MB. The bound leaves
+    1.8 MB of margin."""
+    assert traced_peak(lambda: verify_quantized_gradient_scaling(verify_samples)) < 12e6
 
 
 def test_decision_regions_validation():
@@ -467,6 +513,33 @@ def test_verify_bitflip_rejects_wide_quantizers(small_samples):
         verify_bitflip_gradient_scaling(
             small_samples, np.random.default_rng(16), q_bits_list=(3,), flip_probs=(0.1,)
         )
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("flip_draws", [1, 3, 8])
+def test_mean_level_keeps_the_out_of_place_bits(q, flip_draws):
+    """Every sum of flip_draws level codes, 0 and the top included, expands
+    to the bits of the out-of-place cfg.reconstruct(sums / flip_draws). At
+    p = 0 every draw is the sent code, and the mean level is its level."""
+    cfg = QuantizerConfig(q)
+    top = flip_draws * (cfg.num_levels - 1)
+    sums = np.arange(top + 1).astype(np.min_scalar_type(top))
+    expand = _mean_level(cfg, flip_draws)
+    assert expand(sums).tobytes() == (cfg.delta / 2.0 + cfg.delta * (sums / flip_draws)).tobytes()
+    sent = np.arange(cfg.num_levels, dtype=np.uint8)
+    assert expand(flip_draws * sent).tobytes() == cfg.reconstruct(sent).tobytes()
+
+
+def test_collected_messages_are_the_smallest_unsigned_codes(small_samples):
+    """uint8 for 16 messages; score_moments widens them before 2 * m."""
+    assert small_samples.messages.dtype == np.uint8
+    big = collect_score_samples(
+        build_transmitter(200, np.random.default_rng(10)), build_receiver(200, np.random.default_rng(11)),
+        CHANNEL, 200, 3000, np.random.default_rng(12),
+    )
+    assert big.messages.dtype == np.uint8 and big.messages.max() >= 128
+    moments = score_moments(big, {"ones": np.ones(3000)}, chunk=701)
+    assert moments.means["ones"].tobytes() == add_at_means(big, np.ones(3000), 701).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,57 @@ def test_preprocess_keeps_at_least_one_value():
         preprocess(np.array([1.0]), clip_fraction=1.0)
 
 
+def out_of_place_preprocess(raw, clip_fraction):
+    """preprocess's transform as it was before it worked in place: the sorted
+    copy, the clipped copy and the result alive together. The bit reference."""
+    n = raw.size
+    srt = np.sort(raw)
+    l_max = float(srt[n - 1 - min(int(np.ceil(clip_fraction * n)), n - 1)])
+    l_min = float(srt[0])
+    if l_max <= l_min:
+        return np.zeros_like(raw)
+    clipped = np.minimum(raw, l_max)
+    return (clipped - l_min) / (l_max - l_min)
+
+
+@pytest.mark.parametrize(
+    "raw, clip_fraction",
+    [
+        (np.array([0.1, 0.5, 0.2, 10.0]), 0.05),  # one clipped value; lands on 0 and 1
+        (np.linspace(0.0, 1.0, 257), 0.0),  # every 8-bit threshold, 0 and 1
+        (np.linspace(0.3, 2.9, 257), 0.05),
+        (np.full(8, 0.42), 0.05),  # degenerate
+        (np.random.default_rng(19).exponential(1.0, size=10_000), 0.05),
+    ],
+)
+def test_in_place_preprocess_keeps_the_out_of_place_bits(raw, clip_fraction):
+    assert preprocess(raw, clip_fraction)[0].tobytes() == out_of_place_preprocess(raw, clip_fraction).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # quantizer cells and bit mapping
+
+
+def out_of_place_reconstruct(cfg, indices):
+    """QuantizerConfig.reconstruct as it was before it worked in place. The
+    bit reference."""
+    return cfg.delta / 2.0 + cfg.delta * indices
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 8, MAX_Q_BITS])
+def test_in_place_reconstruct_keeps_the_out_of_place_bits(q):
+    """On level codes (int64 and the smallest unsigned dtype) and on losses
+    at the thresholds, just below them, 0 and 1."""
+    cfg = QuantizerConfig(q)
+    top = cfg.num_levels - 1
+    indices = np.unique(np.array([0, 1, 2, top // 2, top // 2 + 1, top - 1, top], dtype=np.int64).clip(0, top))
+    for codes in (indices, indices.astype(np.min_scalar_type(top))):
+        assert cfg.reconstruct(codes).tobytes() == out_of_place_reconstruct(cfg, codes).tobytes()
+    thresholds = indices * cfg.delta
+    losses = np.concatenate([[0.0, 1.0], thresholds, np.nextafter(thresholds, -1.0).clip(0.0)])
+    expect = out_of_place_reconstruct(cfg, level_indices(losses, cfg))
+    assert quantize_value(losses, cfg).tobytes() == expect.tobytes()
+    assert quantize(losses, cfg)[0].tobytes() == expect.tobytes()
 
 
 def test_one_bit_cells():
@@ -125,6 +174,11 @@ def test_quantize_rejects_out_of_range():
         quantize(np.array([-0.01]), cfg)
     with pytest.raises(ValueError):
         quantize(np.array([1.01]), cfg)
+    # NaN is neither below 0 nor above 1, and used to land in level 0.
+    with pytest.raises(ValueError, match=r"loss outside \[0, 1\]"):
+        quantize(np.array([0.5, np.nan]), cfg)
+    with pytest.raises(ValueError, match=r"loss outside \[0, 1\]"):
+        distortion(np.array([np.nan]), cfg)
 
 
 def test_quantizer_monotone_over_random_pairs():
@@ -327,7 +381,13 @@ def test_quantizer_config_validation():
 def test_level_indices_clamp_out_of_range():
     cfg = QuantizerConfig(2)
     np.testing.assert_array_equal(
-        level_indices(np.array([-5.0, 0.0, 0.999, 1.0, 7.0]), cfg), [0, 0, 3, 3, 3]
+        level_indices(np.array([-5.0, 0.0, 0.999, 1.0, 7.0, np.inf, -np.inf]), cfg), [0, 0, 3, 3, 3, 3, 0]
+    )
+    # Cell indices past 2^63 used to wrap to cell 0 in the int64 cast.
+    widest = QuantizerConfig(MAX_Q_BITS)
+    top = widest.num_levels - 1
+    np.testing.assert_array_equal(
+        level_indices(np.array([2.0, 3.0, 1e18, np.inf, -np.inf]), widest), [top, top, top, top, 0]
     )
 
 
