@@ -43,7 +43,9 @@ DEFAULT_CHUNK = 65_536
 # peaks at about 70 MB and runs out of cache. A row's output bits do
 # not depend on the pass size from about 80 rows up (16 messages), but below
 # that BLAS takes another kernel, so no pass is cut shorter than this.
-RECEIVE_ROWS = 4096
+# 262,144 rows took 217, 226, 226, 234 and 260 ms in passes of 512, 1,024,
+# 2,048, 4,096 and 8,192 rows, so short passes hold a small tape for free.
+RECEIVE_ROWS = 1024
 
 
 def _chunks(total, chunk=DEFAULT_CHUNK):
@@ -324,8 +326,17 @@ def _gram_blocks(jac):
 
 
 def _score_norms_sq(gram, messages, u):
-    """||J[m_k]^T u_k||^2 = u_k^T G[m_k] u_k from the Gram blocks G."""
-    return np.einsum("kc,kcd,kd->k", u, gram[messages], u)
+    """||J[m_k]^T u_k||^2 = u_k^T G[m_k] u_k from the Gram blocks G and the
+    (n, 2) u: the terms (u_c G_cd) u_d, one gathered coefficient at a time,
+    added in c-major order, the bits of einsum("kc,kcd,kd->k", u, G[m], u)."""
+    if len(messages) == 1:  # einsum adds a lone sample's four terms pairwise
+        return np.einsum("kc,kcd,kd->k", u, gram[messages], u)
+    total = 0.0
+    for c in range(2):
+        for d in range(2):
+            term = u[:, c] * gram[messages, c, d]
+            total += np.multiply(term, u[:, d], out=term)
+    return total
 
 
 def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
@@ -447,18 +458,24 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
     acc_gram = dict.fromkeys([(name, name) for name in names] + pairs, 0.0)
     acc_fourth = dict.fromkeys(names, 0.0)
     gram = _gram_blocks(sample_set.jac)
-    acc_bins = np.arange(2 * num_messages)
+    acc_bins = np.arange(num_messages)
     for sl in _chunks(n, chunk):
-        m = sample_set.messages[sl].astype(np.intp)  # 2 * m must not wrap
-        u = score_upstream(sample_set.perturbations[sl], sample_set.sigma_p_sq)
+        m = sample_set.messages[sl]
+        u = np.empty((2, len(m))).T  # (n, 2) with contiguous columns
+        for c in range(2):
+            u[:, c] = score_upstream(sample_set.perturbations[sl, c], sample_set.sigma_p_sq)
         norms_sq = _score_norms_sq(gram, m, u)
-        # One bincount adds the accumulator and then each sample's row in
-        # sample order, the same sums in the same order as np.add.at.
-        bins = np.concatenate([acc_bins, (2 * m[:, None] + np.arange(2)).ravel()])
+        # One bincount per component adds the accumulator and then each
+        # sample's term in sample order, the same sums in the same order as
+        # np.add.at; values holds the accumulator, then the terms.
+        bins = np.concatenate([acc_bins, m])
+        values = np.empty(bins.size)
         for name in names:
             w = weights[name][sl]
-            values = np.concatenate([acc_u[name].ravel(), (w[:, None] * u).ravel()])
-            acc_u[name] = np.bincount(bins, values, 2 * num_messages).reshape(num_messages, 2)
+            for c in range(2):
+                values[:num_messages] = acc_u[name][:, c]
+                np.multiply(w, u[:, c], out=values[num_messages:])
+                acc_u[name][:, c] = np.bincount(bins, values, num_messages)
             prod = w * w * norms_sq
             acc_gram[(name, name)] += float(prod.sum())
             acc_fourth[name] += float((prod * prod).sum())
@@ -624,8 +641,9 @@ def verify_quantized_gradient_scaling(
         codes = _level_codes(pre, cfg)
         weights[f"q{q}"] = CodedWeight(codes, cfg.reconstruct)
         pairs += _report_pairs(f"q{q}", "perfect")
-        # feedback.bussgang_gain's g and w_bar, from the codes already held
-        g = linear_gain(pre, cfg.reconstruct(codes), pre_var)
+        # feedback.bussgang_gain's g and w_bar, from the codes already held;
+        # the levels die with the call, so one bit width's are alive at a time
+        g = linear_gain(pre, cfg.reconstruct(codes), pre_var, overwrite_levels=True)
         gains[q] = g, error_bound(g, cfg)
     moments = score_moments(sample_set, weights, pairs)
     fisher, fisher_se = _fisher_trace(moments)

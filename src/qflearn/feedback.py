@@ -115,9 +115,10 @@ def level_indices(l, cfg):
 
     Values at interior thresholds fall in the upper cell (floor semantics);
     the clamp puts l = 1 (and anything beyond the range) in the end cells.
-    The float clamp to [0, 2^q] comes first, so no cell wraps in the cast.
+    Losses are clipped to [0, 1] before the division, so no quotient
+    overflows and no cell past 2^q wraps in the cast.
     """
-    cells = np.clip(np.floor(np.asarray(l, dtype=np.float64) / cfg.delta), 0, cfg.num_levels)
+    cells = np.floor(np.clip(np.asarray(l, dtype=np.float64), 0.0, 1.0) / cfg.delta)
     return np.minimum(cells.astype(np.int64), cfg.num_levels - 1)
 
 
@@ -180,10 +181,13 @@ def distortion(losses, cfg):
     return float(np.mean(err * err))
 
 
-def linear_gain(losses, levels, var):
+def linear_gain(losses, levels, var, overwrite_levels=False):
     """The Bussgang gain g = Cov(l, Q(l)) / Var(l) of losses l and their
-    quantized values levels = Q(l), given var = Var(l) > 0."""
-    return float((np.mean(losses * levels) - losses.mean() * np.mean(levels)) / var)
+    quantized values levels = Q(l), given var = Var(l) > 0. With
+    overwrite_levels the product l * Q(l) goes into levels, same bits."""
+    level_mean = np.mean(levels)
+    product = np.multiply(losses, levels, out=levels if overwrite_levels else None)
+    return float((np.mean(product) - losses.mean() * level_mean) / var)
 
 
 def error_bound(g, cfg):

@@ -1,17 +1,20 @@
 """Evaluation layer: SER estimators, ML baselines, score-moment machinery."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qflearn import evaluation
 from qflearn.channels import AWGN, NLPN, ChannelConfig, propagate
 from qflearn.cli import write_decision_regions_csv
 from qflearn.evaluation import (
     ExactAwgnDetector,
     ReceiverDetector,
     SampledNlpnDetector,
+    ScoreSampleSet,
     binomial_stderr,
     collect_score_samples,
     convergence_iteration,
@@ -254,7 +257,11 @@ def test_decision_regions_shapes_and_split():
     assert np.all(left == 1)
 
 
-@pytest.mark.parametrize("rows", [1, RECEIVE_ROWS - 1, RECEIVE_ROWS, RECEIVE_ROWS + 1, 3 * RECEIVE_ROWS + 5])
+# Pass boundaries of the current pass size and of the former 4,096 rows.
+PASS_EDGES = [1] + [k * size + d for size in (RECEIVE_ROWS, 4096) for k, d in ((1, -1), (1, 0), (1, 1), (3, 5))]
+
+
+@pytest.mark.parametrize("rows", PASS_EDGES)
 def test_receive_rows_equals_one_receive_call(rows):
     rx = build_receiver(16, np.random.default_rng(8))
     src = np.random.default_rng(9)
@@ -286,16 +293,50 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("rows", [10_000, 150_001])
+def test_receiver_bits_do_not_depend_on_the_pass_size(monkeypatch, rows):
+    """Passes of 1,024 to 2,047 rows give the bytes of passes of 4,096 to
+    8,191: decisions, SER and the collected losses, across chunk bounds."""
+    tx = build_transmitter(16, np.random.default_rng(1))
+    rx = build_receiver(16, np.random.default_rng(2))
+    src = np.random.default_rng(9)
+    y = 0.3 * (src.normal(size=rows) + 1j * src.normal(size=rows))
+
+    def outputs():
+        decisions = ReceiverDetector(rx).decide(y)
+        ser = estimate_ser(tx, rx, CHANNEL, 16, rows, np.random.default_rng(3))
+        samples = collect_score_samples(tx, rx, CHANNEL, 16, rows, np.random.default_rng(12))
+        return decisions.tobytes(), dataclasses.astuple(ser), samples.raw_losses.tobytes()
+
+    seen = []
+    for pass_rows in (1024, 4096):
+        monkeypatch.setattr(evaluation, "RECEIVE_ROWS", pass_rows)
+        seen.append(outputs())
+    assert seen[0] == seen[1]
+    assert len(set(np.frombuffer(seen[0][0], dtype=np.intp))) > 1
+
+
+def test_estimate_ser_holds_one_short_receiver_pass():
+    """A 10,000-symbol SER estimate, the one that closes every training run,
+    peaked at 6.25 MB (tracemalloc) in two 5,000-row receiver passes; in
+    passes of about 1,100 rows it peaks at 1.64 MB. The bound leaves 0.86 MB
+    of margin."""
+    tx = build_transmitter(16, np.random.default_rng(1))
+    rx = build_receiver(16, np.random.default_rng(2))
+    assert traced_peak(lambda: estimate_ser(tx, rx, CHANNEL, 16, 10_000, np.random.default_rng(3))) < 2.5e6
+
+
 def test_collect_score_samples_holds_no_full_chunk_tape():
     """One receiver forward pass over a 65,536-sample chunk peaks at about
     70 MB (tracemalloc). In row blocks written into a (65,536, 16)
     probability array it peaked at 17.9 MB; with each block's losses taken
-    before the next block runs it peaks at 9.5 MB. The bound leaves 1.5 MB
+    before the next block runs, 9.5 MB; in passes of 1,024 to 2,047 rows
+    instead of 4,096 to 8,191 it peaks at 5.9 MB. The bound leaves 1.1 MB
     of margin."""
     tx = build_transmitter(16, np.random.default_rng(10))
     rx = build_receiver(16, np.random.default_rng(11))
     peak = traced_peak(lambda: collect_score_samples(tx, rx, CHANNEL, 16, 65_536, np.random.default_rng(12)))
-    assert peak < 11e6
+    assert peak < 7e6
 
 
 @pytest.fixture(scope="module")
@@ -310,19 +351,32 @@ def test_verify_bitflip_holds_weights_as_level_codes(verify_samples):
     they take 1.6 MB each at 200,000 samples and the call peaked at 31.4 MB
     (tracemalloc); as level codes, 21.3 MB. With the pre-processed losses
     dropped once the sent codes exist, and each weight's chunk expanded
-    where it is used instead of all twelve at once, it peaks at 10.4 MB.
-    The bound leaves 1.6 MB of margin."""
+    where it is used instead of all twelve at once, 10.4 MB. With
+    score_moments' per-component kernels it peaks at 7.7 MB; the einsum
+    over an (n, 2, 2) Gram gather reads 8.8 MB, and gathering all four
+    coefficients at once 9.2 MB. The bound leaves 0.77 MB of margin."""
     peak = traced_peak(lambda: verify_bitflip_gradient_scaling(verify_samples, np.random.default_rng(13)))
-    assert peak < 12e6
+    assert peak < 8.5e6
 
 
-def test_verify_quantized_holds_two_full_length_temporaries(verify_samples):
-    """At 200,000 samples the quantized check peaks at 10.2 MB (tracemalloc):
-    the pre-processed losses, their level codes, a gain's levels and their
-    product with the losses (1.6 MB each), then one chunk of score_moments.
-    Full-length float64 level-index copies added 1.1 MB. The bound leaves
-    1.8 MB of margin."""
-    assert traced_peak(lambda: verify_quantized_gradient_scaling(verify_samples)) < 12e6
+def test_verify_quantized_holds_two_full_length_temporaries():
+    """At 10^6 samples the quantized check peaks while it takes a gain: the
+    pre-processed losses and one bit width's levels, multiplied by the
+    losses in place (8 MB each), beside the level codes (1 MB per width),
+    20.0 MB in all (tracemalloc). A separate product of levels and losses
+    read 27.0 MB. The bound leaves 2 MB of margin."""
+    samples = random_samples(16, np.uint8, 1_000_000, seed=3)
+    assert traced_peak(lambda: verify_quantized_gradient_scaling(samples)) < 22e6
+
+
+def test_verify_quantized_moments_hold_no_gram_gather(verify_samples):
+    """At 200,000 samples the quantized check peaks in a chunk of
+    score_moments, beside the pre-processed losses and level codes: 7.5 MB
+    (tracemalloc). It read 10.2 MB before the per-component kernels; with
+    them, the einsum over an (n, 2, 2) Gram gather reads 8.6 MB and
+    gathering all four coefficients at once 9.0 MB. The bound leaves
+    0.98 MB of margin."""
+    assert traced_peak(lambda: verify_quantized_gradient_scaling(verify_samples)) < 8.5e6
 
 
 def test_decision_regions_validation():
@@ -444,6 +498,86 @@ def test_score_moments_means_equal_add_at_reference_exactly(small_samples):
         assert moments.means[name].tobytes() == add_at_means(s, w, 701).tobytes()
 
 
+def einsum_norms_sq(gram, messages, u):
+    """The einsum over an (n, 2, 2) Gram gather: the reference for
+    _score_norms_sq's per-coefficient kernel."""
+    return np.einsum("kc,kcd,kd->k", u, gram[messages], u)
+
+
+def interleaved_score_moments(samples, weights, chunk):
+    """Means, gram diagonal and fourth moments with one bincount per weight
+    over the interleaved bins 2 * m + c and einsum_norms_sq: the reference
+    for score_moments' per-component accumulation."""
+    num_messages = samples.jac.shape[0]
+    acc_u = {name: np.zeros((num_messages, 2)) for name in weights}
+    acc_gram = dict.fromkeys(weights, 0.0)
+    acc_fourth = dict.fromkeys(weights, 0.0)
+    gram = _gram_blocks(samples.jac)
+    for start in range(0, samples.num_samples, chunk):
+        sl = slice(start, start + chunk)
+        m = samples.messages[sl].astype(np.intp)
+        u = score_upstream(samples.perturbations[sl], samples.sigma_p_sq)
+        norms_sq = einsum_norms_sq(gram, m, u)
+        bins = np.concatenate([np.arange(2 * num_messages), (2 * m[:, None] + np.arange(2)).ravel()])
+        for name, w in weights.items():
+            values = np.concatenate([acc_u[name].ravel(), (w[sl][:, None] * u).ravel()])
+            acc_u[name] = np.bincount(bins, values, 2 * num_messages).reshape(num_messages, 2)
+            prod = w[sl] * w[sl] * norms_sq
+            acc_gram[name] += float(prod.sum())
+            acc_fourth[name] += float((prod * prod).sum())
+    n = samples.num_samples
+    means = {name: np.einsum("mc,mcp->p", acc_u[name], samples.jac) / n for name in weights}
+    return means, {name: val / n for name, val in acc_gram.items()}, {name: val / n for name, val in acc_fourth.items()}
+
+
+def random_samples(num_messages, dtype, n, seed):
+    """A ScoreSampleSet of random messages in the given dtype, perturbations,
+    losses and Jacobian."""
+    rng = np.random.default_rng(seed)
+    return ScoreSampleSet(
+        messages=rng.integers(0, num_messages, size=n).astype(dtype),
+        perturbations=rng.normal(0.0, 0.05, size=(n, 2)),
+        raw_losses=rng.exponential(size=n),
+        jac=rng.normal(size=(num_messages, 2, 37)),
+        sigma_p_sq=5e-4,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+@pytest.mark.parametrize(
+    "num_messages, n, chunk",
+    [(16, 4000, 701), (256, 3000, 1024), (16, 2 * 701 + 1, 701), (16, 300, 1), (256, 1, 65_536)],
+)
+def test_per_component_moments_keep_the_interleaved_bits(dtype, num_messages, n, chunk):
+    """Partial last chunks, 1-sample chunks and 1-sample sets; with 256
+    messages the codes reach past 127."""
+    samples = random_samples(num_messages, dtype, n, seed=num_messages + n + chunk)
+    if num_messages == 256 and n > 1:
+        assert samples.messages.max() >= 128
+    rng = np.random.default_rng(17)
+    weights = {"ones": np.ones(n), "loss": samples.raw_losses, "signed": rng.normal(size=n)}
+    moments = score_moments(samples, weights, chunk=chunk)
+    means, gram, fourth = interleaved_score_moments(samples, weights, chunk)
+    for name in weights:
+        assert moments.means[name].tobytes() == means[name].tobytes()
+        assert moments.gram[(name, name)] == gram[name]
+        assert moments.fourth[name] == fourth[name]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+@pytest.mark.parametrize("num_messages", [16, 256])
+def test_per_coefficient_norms_keep_the_einsum_bits(dtype, num_messages):
+    """Row-major u as the callers outside score_moments pass it and the
+    column-major u score_moments builds, on random data and on 1 sample."""
+    samples = random_samples(num_messages, dtype, 70_001, seed=num_messages)
+    gram = _gram_blocks(samples.jac)
+    u = score_upstream(samples.perturbations, samples.sigma_p_sq)
+    for rows in (slice(None), slice(5, 6)):
+        expect = einsum_norms_sq(gram, samples.messages[rows], u[rows]).tobytes()
+        assert _score_norms_sq(gram, samples.messages[rows], u[rows]).tobytes() == expect
+        assert _score_norms_sq(gram, samples.messages[rows], np.asfortranarray(u[rows])).tobytes() == expect
+
+
 def test_score_moments_rejects_bad_shape(small_samples):
     with pytest.raises(ValueError):
         score_moments(small_samples, {"bad": np.ones(3)})
@@ -531,7 +665,8 @@ def test_mean_level_keeps_the_out_of_place_bits(q, flip_draws):
 
 
 def test_collected_messages_are_the_smallest_unsigned_codes(small_samples):
-    """uint8 for 16 messages; score_moments widens them before 2 * m."""
+    """uint8 for 16 messages; score_moments gathers and bins the codes as
+    they are."""
     assert small_samples.messages.dtype == np.uint8
     big = collect_score_samples(
         build_transmitter(200, np.random.default_rng(10)), build_receiver(200, np.random.default_rng(11)),

@@ -389,6 +389,11 @@ def test_level_indices_clamp_out_of_range():
     np.testing.assert_array_equal(
         level_indices(np.array([2.0, 3.0, 1e18, np.inf, -np.inf]), widest), [top, top, top, top, 0]
     )
+    # Finite losses whose quotient by delta overflows used to raise an
+    # overflow warning in the division; they land in the end cells.
+    for cfg in (QuantizerConfig(1), widest):
+        huge = np.array([1e300, 1.7e308, -1e300, -1.7e308])
+        np.testing.assert_array_equal(level_indices(huge, cfg), [cfg.num_levels - 1] * 2 + [0] * 2)
 
 
 def test_loss_transform_kinds():
