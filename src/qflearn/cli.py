@@ -90,6 +90,11 @@ class VerifyConfig:
         for q in self.quantized_bits:
             QuantizerConfig(q)
         check_bitflip_claim(self.bitflip_bits, self.flip_probs)
+        for key in ("quantized_bits", "bitflip_bits", "flip_probs"):
+            if len(set(values := getattr(self, key))) < len(values):
+                raise ValueError(f"{key} repeats a value: {values}")
+        if not (self.quantized_bits or self.bitflip_bits and self.flip_probs):
+            raise ValueError("no check to run: quantized_bits is empty, and so is bitflip_bits or flip_probs")
 
 
 @dataclass

@@ -8,10 +8,11 @@ quantization error and the Fisher trace), and flipping feedback bits with
 probability p scales it further by (1 - 2p). Everything runs on a frozen
 transceiver, where the score of a sampled symbol factors through the
 constellation Jacobian: s_k = J[m_k]^T u_k with u_k = 2 w_k / sigma_p^2.
-That factorization is what keeps 10^6-sample studies at a few hundred MB of
-arithmetic instead of a 12 GB score matrix.
+That factorization keeps 10^6-sample studies at a few hundred MB instead of
+a 12 GB score matrix, and a sample keeps 9 bytes: w is replayed, not stored.
 """
 
+import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .transceiver import (
     constellation,
     constellation_jacobian,
     cross_entropy_losses,
+    exploration_noise,
     exploration_variance,
     perturb,
     real_to_complex,
@@ -305,12 +307,12 @@ class ScoreSampleSet:
     """Everything needed to reconstruct per-sample policy gradients lazily.
 
     The score of sample k is jac[messages[k]]^T @ (2*perturbations[k]/sigma_p_sq);
-    storing (message, perturbation, raw loss) instead of score vectors keeps
-    10^6 samples at ~25 MB.
+    storing (message, raw loss) and replaying the perturbations instead of
+    storing score vectors keeps 10^6 samples at ~9 MB.
     """
 
     messages: np.ndarray  # (N,) in the smallest unsigned dtype that holds M - 1
-    perturbations: np.ndarray  # (N, 2) exploration noise actually applied
+    perturbations: np.ndarray  # (N, 2) noise applied, read [rows]; or a ReplayedPerturbations
     raw_losses: np.ndarray  # (N,) receiver cross-entropy per sample
     jac: np.ndarray  # (M, 2, P) constellation Jacobian
     sigma_p_sq: float
@@ -318,6 +320,35 @@ class ScoreSampleSet:
     @property
     def num_samples(self):
         return self.messages.size
+
+
+class ReplayedPerturbations:
+    """A collection's (N, 2) exploration noise, read by row slice: states[i], a
+    copy of the generator made just before the draw of chunk i (DEFAULT_CHUNK
+    rows each), redraws that chunk on a copy of itself, with the same bits. The
+    chunk last read is kept until a slice reads up to its end."""
+
+    def __init__(self, states, num_samples, sigma_p_sq):
+        self.states, self.num_samples, self.sigma_p_sq = states, num_samples, sigma_p_sq
+        self._last = None, None  # (chunk index, its read-only draw)
+
+    def _chunk(self, i):
+        if self._last[0] != i:
+            rows = min(DEFAULT_CHUNK, self.num_samples - i * DEFAULT_CHUNK)
+            w = exploration_noise((rows, 2), self.sigma_p_sq, copy.deepcopy(self.states[i]))
+            w.flags.writeable = False
+            self._last = i, w
+        return self._last[1]
+
+    def __getitem__(self, rows):
+        start, stop, step = rows.indices(self.num_samples)
+        if step != 1:
+            raise ValueError("replayed perturbations are read in row slices of step 1")
+        chunks = range(start // DEFAULT_CHUNK, -(-stop // DEFAULT_CHUNK))
+        parts = [self._chunk(i)[max(start - i * DEFAULT_CHUNK, 0) : stop - i * DEFAULT_CHUNK] for i in chunks]
+        if stop % DEFAULT_CHUNK == 0 or stop == self.num_samples:
+            self._last = None, None  # a forward walk reads no more of it
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _gram_blocks(jac):
@@ -348,16 +379,17 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
     sigma_p_sq = exploration_variance(channel_cfg.P_mw)
     points, jac = constellation_jacobian(tx, num_messages, channel_cfg.P_mw)
     messages = np.empty(num_samples, dtype=np.min_scalar_type(num_messages - 1))
-    perturbations = np.empty((num_samples, 2))
     raw_losses = np.empty(num_samples)
+    states = []
     for sl in _chunks(num_samples):
         messages[sl] = m = rng.integers(0, num_messages, size=sl.stop - sl.start)
-        perturbed, perturbations[sl] = perturb(points[m], sigma_p_sq, rng)
+        states.append(copy.deepcopy(rng))  # replays the perturbation draw below
+        perturbed, _ = perturb(points[m], sigma_p_sq, rng)
         for rows, probs in _receive_passes(rx, propagate(real_to_complex(perturbed), channel_cfg, rng)):
             raw_losses[sl][rows] = cross_entropy_losses(probs, m[rows])
     return ScoreSampleSet(
         messages=messages,
-        perturbations=perturbations,
+        perturbations=ReplayedPerturbations(states, num_samples, sigma_p_sq),
         raw_losses=raw_losses,
         jac=jac,
         sigma_p_sq=sigma_p_sq,
@@ -459,11 +491,13 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
     acc_fourth = dict.fromkeys(names, 0.0)
     gram = _gram_blocks(sample_set.jac)
     acc_bins = np.arange(num_messages)
+    u_rows = np.empty((2, min(n, chunk)))  # every chunk's u
     for sl in _chunks(n, chunk):
-        m = sample_set.messages[sl]
-        u = np.empty((2, len(m))).T  # (n, 2) with contiguous columns
+        m, noise = sample_set.messages[sl], sample_set.perturbations[sl]
+        u = u_rows[:, : len(m)].T  # (n, 2) with contiguous columns
         for c in range(2):
-            u[:, c] = score_upstream(sample_set.perturbations[sl, c], sample_set.sigma_p_sq)
+            u[:, c] = score_upstream(noise[:, c], sample_set.sigma_p_sq)
+        del noise  # a replayed chunk dies before the chunk's other temporaries
         norms_sq = _score_norms_sq(gram, m, u)
         # One bincount per component adds the accumulator and then each
         # sample's term in sample order, the same sums in the same order as

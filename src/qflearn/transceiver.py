@@ -111,14 +111,16 @@ def exploration_variance(power_mw):
     return power_mw * 1e-3
 
 
-def perturb(symbols, sigma_p_sq, rng):
-    """Gaussian exploration x + w, w ~ CN(0, sigma_p_sq), on real pairs.
-
-    Returns (perturbed, w); each real component of w is N(0, sigma_p_sq/2).
-    """
+def exploration_noise(shape, sigma_p_sq, rng):
+    """Exploration noise w ~ CN(0, sigma_p_sq) as real pairs: N(0, sigma_p_sq/2) each."""
     if sigma_p_sq <= 0.0:
         raise ValueError("sigma_p_sq must be positive")
-    w = rng.normal(0.0, np.sqrt(sigma_p_sq / 2.0), size=symbols.shape)
+    return rng.normal(0.0, np.sqrt(sigma_p_sq / 2.0), size=shape)
+
+
+def perturb(symbols, sigma_p_sq, rng):
+    """Gaussian exploration x + w with w = exploration_noise; returns (perturbed, w)."""
+    w = exploration_noise(symbols.shape, sigma_p_sq, rng)
     return symbols + w, w
 
 

@@ -267,6 +267,28 @@ def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, m
         ("bussgang", "bussgang", {"loss_std": 0.0, "num_samples": 1000}, "loss_std must be positive and finite"),
         ("verify", "verify", {"num_samples": 1000, "quantized_bits": [63]}, "q_bits must be <= 62"),
         ("bussgang", "bussgang", {"q_bits": [64], "num_samples": 1000}, "q_bits must be <= 62"),
+        # a verify config must run a check, and each check once
+        (
+            "verify",
+            "verify",
+            {"num_samples": 1000, "quantized_bits": [], "bitflip_bits": [], "flip_probs": []},
+            "no check to run: quantized_bits is empty, and so is bitflip_bits or flip_probs",
+        ),
+        (
+            "verify",
+            "verify",
+            {"num_samples": 1000, "quantized_bits": [], "flip_probs": []},
+            "no check to run: quantized_bits is empty",
+        ),
+        (
+            "verify",
+            "verify",
+            {"num_samples": 1000, "quantized_bits": [], "bitflip_bits": []},
+            "no check to run: quantized_bits is empty",
+        ),
+        ("verify", "verify", {"num_samples": 1000, "flip_probs": [0.1, 0.1]}, "flip_probs repeats a value: [0.1, 0.1]"),
+        ("verify", "verify", {"num_samples": 1000, "quantized_bits": [1, 3, 1]}, "quantized_bits repeats a value"),
+        ("verify", "verify", {"num_samples": 1000, "bitflip_bits": [2, 2]}, "bitflip_bits repeats a value"),
     ],
 )
 def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, command, section, body, message):

@@ -36,6 +36,9 @@ from qflearn.transceiver import (
     build_receiver,
     build_transmitter,
     constellation,
+    exploration_noise,
+    exploration_variance,
+    perturb,
     real_to_complex,
     receive,
     score_upstream,
@@ -339,6 +342,80 @@ def test_collect_score_samples_holds_no_full_chunk_tape():
     assert peak < 7e6
 
 
+def stored_collection(tx, num_samples, rng):
+    """The perturbations a collection draws, kept in one (N, 2) array: the
+    messages, exploration and channel draws of each 65,536-sample chunk in
+    collect_score_samples' order, with the perturbations stored instead of
+    replayed. The reference for the replay."""
+    sigma_p_sq = exploration_variance(CHANNEL.P_mw)
+    points = constellation(tx, 16, CHANNEL.P_mw)
+    kept = []
+    for start in range(0, num_samples, 65_536):
+        m = rng.integers(0, 16, size=min(65_536, num_samples - start))
+        perturbed, w = perturb(points[m], sigma_p_sq, rng)
+        propagate(real_to_complex(perturbed), CHANNEL, rng)
+        kept.append(w)
+    return np.concatenate(kept)
+
+
+def replay_collection(num_samples):
+    """(collected set, its generator, stored perturbations, the stored
+    collection's generator), both collections from seed 12."""
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    rng, stored_rng = np.random.default_rng(12), np.random.default_rng(12)
+    samples = collect_score_samples(tx, rx, CHANNEL, 16, num_samples, rng)
+    return samples, rng, stored_collection(tx, num_samples, stored_rng), stored_rng
+
+
+@pytest.mark.parametrize("num_samples", [1, 65_535, 65_536, 65_537, 150_001])
+def test_replayed_perturbations_equal_the_stored_draws(num_samples):
+    """Whole collection chunks and 701-row slices, which straddle chunk
+    bounds, replay the stored bytes; so does a second read of each."""
+    samples, _, stored, _ = replay_collection(num_samples)
+    for step in (65_536, 701, 65_536):
+        rows = [samples.perturbations[start : start + step] for start in range(0, num_samples, step)]
+        assert np.concatenate(rows).tobytes() == stored.tobytes()
+    assert samples.perturbations[:].tobytes() == stored.tobytes()
+
+
+def test_collection_and_replay_leave_the_generator_as_a_stored_collection():
+    samples, rng, _, stored_rng = replay_collection(150_001)
+    assert rng.bit_generator.state == stored_rng.bit_generator.state
+    score_moments(samples, {"ones": np.ones(150_001)}, chunk=701)
+    assert rng.bit_generator.state == stored_rng.bit_generator.state
+    with pytest.raises(ValueError, match="step 1"):
+        samples.perturbations[::2]
+
+
+def test_score_moments_in_short_chunks_replays_each_collection_chunk_once(monkeypatch):
+    samples = replay_collection(150_001)[0]
+    draws = []
+
+    def counted(shape, sigma_p_sq, rng):
+        draws.append(shape)
+        return exploration_noise(shape, sigma_p_sq, rng)
+
+    monkeypatch.setattr(evaluation, "exploration_noise", counted)
+    score_moments(samples, {"ones": np.ones(150_001)}, chunk=701)
+    assert draws == [(65_536, 2), (65_536, 2), (18_929, 2)]
+
+
+def test_collected_set_retains_about_9_bytes_per_sample():
+    """1-byte messages and 8-byte raw losses, plus the Jacobian and about
+    1.1-2 KB per saved generator state (tracemalloc). Storing the (N, 2)
+    perturbations took 25 bytes per sample."""
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    tracemalloc.start()
+    try:
+        samples = collect_score_samples(tx, rx, CHANNEL, 16, 200_000, np.random.default_rng(12))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained - samples.jac.nbytes < 9 * 200_000 + 4096 * len(samples.perturbations.states)
+
+
 @pytest.fixture(scope="module")
 def verify_samples():
     tx = build_transmitter(16, np.random.default_rng(10))
@@ -420,13 +497,13 @@ def small_samples():
 def score_norms_sq(samples):
     """||s_k||^2 of every sample through the per-message Gram blocks, as
     score_moments computes them."""
-    u = score_upstream(samples.perturbations, samples.sigma_p_sq)
+    u = score_upstream(samples.perturbations[:], samples.sigma_p_sq)
     return _score_norms_sq(_gram_blocks(samples.jac), samples.messages, u)
 
 
 def dense_scores(samples):
     """Materialize the (N, P) score matrix the long way for comparison."""
-    u = 2.0 * samples.perturbations / samples.sigma_p_sq
+    u = 2.0 * samples.perturbations[:] / samples.sigma_p_sq
     return np.einsum("kcp,kc->kp", samples.jac[samples.messages], u)
 
 
@@ -434,7 +511,7 @@ def test_collect_score_samples_shapes(small_samples):
     s = small_samples
     assert s.num_samples == 4000
     assert s.messages.shape == (4000,)
-    assert s.perturbations.shape == (4000, 2)
+    assert s.perturbations[:].shape == (4000, 2)
     assert s.raw_losses.shape == (4000,)
     assert s.jac.shape == (16, 2, build_transmitter(16, np.random.default_rng(10)).params.size)
     assert np.all(s.raw_losses > 0.0)
