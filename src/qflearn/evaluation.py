@@ -14,6 +14,8 @@ a 12 GB score matrix, and a sample keeps 9 bytes: w is replayed, not stored.
 
 import copy
 import math
+import queue
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -469,7 +471,38 @@ def _pair_key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
+def _fold_behind(fold, items):
+    """fold(item) on a helper thread for each of items, which the calling
+    thread iterates at most one item ahead of the fold. An error on either
+    side stops the other; the helper is joined and the error raised here."""
+    todo, errors = queue.Queue(maxsize=1), []
+
+    def run():
+        while (item := todo.get()) is not None:
+            try:
+                if not errors:
+                    fold(item)
+            except BaseException as err:  # raised again in the caller
+                errors.append(err)
+            todo.task_done()
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    try:
+        for item in items:
+            todo.join()  # the item before is folded
+            if errors:
+                break
+            todo.put(item)
+    finally:
+        todo.join()
+        todo.put(None)
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
+def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, ready=None):
     """One chunked pass over the samples computing the weighted moments.
 
     weights maps names to float64 vectors or CodedWeights, whose chunks are
@@ -478,6 +511,9 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
     lists the (a, b) name pairs whose gram entries are accumulated as well.
     Mean vectors are accumulated per message as sum_k a_k u_k and contracted
     with the Jacobian once at the end, so no (N, P) score matrix ever exists.
+    Given ready, which yields once per chunk when that chunk's weights are
+    final, the chunks are folded on a helper thread (see _fold_behind) as
+    ready makes the next chunk's weights on the caller's thread.
     """
     names = list(weights)
     n = sample_set.num_samples
@@ -492,13 +528,16 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
     gram = _gram_blocks(sample_set.jac)
     acc_bins = np.arange(num_messages)
     u_rows = np.empty((2, min(n, chunk)))  # every chunk's u
-    for sl in _chunks(n, chunk):
+
+    def fold(sl):
         m, noise = sample_set.messages[sl], sample_set.perturbations[sl]
         u = u_rows[:, : len(m)].T  # (n, 2) with contiguous columns
         for c in range(2):
             u[:, c] = score_upstream(noise[:, c], sample_set.sigma_p_sq)
         del noise  # a replayed chunk dies before the chunk's other temporaries
         norms_sq = _score_norms_sq(gram, m, u)
+        for a, b in pairs:  # before the bincount buffers exist
+            acc_gram[(a, b)] += float((weights[a][sl] * weights[b][sl] * norms_sq).sum())
         # One bincount per component adds the accumulator and then each
         # sample's term in sample order, the same sums in the same order as
         # np.add.at; values holds the accumulator, then the terms.
@@ -512,9 +551,13 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK):
                 acc_u[name][:, c] = np.bincount(bins, values, num_messages)
             prod = w * w * norms_sq
             acc_gram[(name, name)] += float(prod.sum())
-            acc_fourth[name] += float((prod * prod).sum())
-        for a, b in pairs:
-            acc_gram[(a, b)] += float((weights[a][sl] * weights[b][sl] * norms_sq).sum())
+            acc_fourth[name] += float(np.square(prod, out=prod).sum())
+
+    if ready is None:
+        for sl in _chunks(n, chunk):
+            fold(sl)
+    else:
+        _fold_behind(fold, (sl for sl, _ in zip(_chunks(n, chunk), ready)))
     return ScoreMoments(
         means={name: np.einsum("mc,mcp->p", acc_u[name], sample_set.jac) / n for name in names},
         weight_means={name: float(weights[name].mean()) for name in names},
@@ -739,39 +782,59 @@ def verify_bitflip_gradient_scaling(
     V{gamma_q} + 4p(1-p)||grad_q||^2 + p*tr(J) is evaluated as well, on a
     single flip realization since the bound is about per-sample spread
     (bound fields are NaN for other bit widths, where no bound is claimed).
-    The sent level codes go through channels.bsc one chunk at a time, and
-    every weight is held as level codes or their sum over the draws (see
-    CodedWeight).
+    Each chunk's sent codes go through channels.bsc on the caller's thread,
+    every (q, p, draw) block drawing from its own copy of rng moved to where
+    the serial loop over the blocks would start it, while a helper thread
+    folds the chunk before into the moments. rng must be a PCG64 generator,
+    and it ends where that loop leaves it. Every weight is held as level
+    codes or their sum over the draws (see CodedWeight).
 
     Returns {(q_bits, p): ScalingReport}.
     """
     check_bitflip_claim(q_bits_list, flip_probs)
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ValueError(f"flip draws are addressed by PCG64 stream position; got {type(rng.bit_generator).__name__}")
+    if not (q_bits_list and flip_probs):
+        return {}
     pre = _preprocessed_losses(sample_set, clip_fraction)
     n = pre.size
     sent_codes = [_level_codes(pre, QuantizerConfig(q)) for q in q_bits_list]
     del pre  # every flip draw starts from the sent codes
     weights = {"ones": _ones_weight(n)}
     pairs = []
+    blocks = []  # per (q, p, draw): sent codes, q, p, the codes its draws add into, its generator
+    offset = 0  # where the block's draws start in the stream: one 64-bit output per flip bit
     for q, sent in zip(q_bits_list, sent_codes):
         cfg = QuantizerConfig(q)
         weights[f"q{q}"] = CodedWeight(sent, cfg.reconstruct)
         for p in flip_probs:
-            index_sum = np.zeros(n, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))
-            for draw in range(flip_draws):
-                received = np.empty_like(sent)
-                for sl in _chunks(n):
-                    received[sl] = bsc(sent[sl], q, p, rng)
-                if draw == 0 and q == 1:
-                    weights[f"ev_q{q}_p{p}"] = CodedWeight(received, cfg.reconstruct)
-                index_sum += received
+            targets = [np.zeros(n, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))]
+            if q == 1:  # one flip realization, for the variance bound
+                targets.append(np.zeros_like(sent))
+                weights[f"ev_q{q}_p{p}"] = CodedWeight(targets[1], cfg.reconstruct)
             # The level of the mean index is the mean of the levels. The
             # levels are dyadic, so for a power-of-two flip_draws it carries
             # the bits of summing the dequantized draws.
-            weights[f"e_q{q}_p{p}"] = CodedWeight(index_sum, _mean_level(cfg, flip_draws))
+            weights[f"e_q{q}_p{p}"] = CodedWeight(targets[0], _mean_level(cfg, flip_draws))
             pairs += _report_pairs(f"e_q{q}_p{p}", f"q{q}")
-    moments = score_moments(sample_set, weights, pairs)
+            for draw in range(flip_draws):
+                gen = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(offset))
+                blocks.append((sent, q, p, targets if draw == 0 else targets[:1], gen))
+                offset += n * q
+
+    def drawn():
+        for sl in _chunks(n):
+            for sent, q, p, targets, gen in blocks:
+                received = bsc(sent[sl], q, p, gen)
+                for codes in targets:
+                    codes[sl] += received
+            yield
+
+    moments = score_moments(sample_set, weights, pairs, ready=drawn())
+    kept = rng.bit_generator.state  # advance clears the buffered 32-bit half
+    rng.bit_generator.state = dict(rng.bit_generator.advance(offset).state, has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
     fisher, fisher_se = _fisher_trace(moments)
     reports = {}
     for q in q_bits_list:

@@ -6,6 +6,7 @@ per-criterion verdicts into ACCEPTANCE_RESULTS before asserting, and the
 terminal summary prints one line per criterion at the end of the session.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,27 @@ CRITERION_LABELS = {
     11: "zero-nonlinearity channel sanity",
     12: "byte-identical reruns",
 }
+
+
+def bounded_call(fn, *args):
+    """fn(*args) on a worker thread joined within a minute, so a helper that
+    never returns fails the test instead of hanging it; raises what fn
+    raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except Exception as err:  # handed to the test thread below
+            out["error"] = err
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the call did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def record_acceptance(criterion, passed, detail, sub=""):

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import bounded_call
 
 from qflearn import channels
 from qflearn.channels import (
@@ -228,27 +229,6 @@ def _fail_on_third_draw(real_parts):
     return parts
 
 
-def _bounded_call(fn, *args):
-    """fn(*args) on a worker thread joined within a minute, so a helper that
-    never returns fails the test instead of hanging it; raises what fn
-    raised."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn(*args)
-        except Exception as err:  # handed to the test thread below
-            out["error"] = err
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive(), "the call did not return"
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
 @pytest.mark.parametrize("exit_kind", ["return", "consumer-error", "producer-error"])
 def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
     """A call that draws on a helper thread joins it on every exit, and an
@@ -258,15 +238,15 @@ def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
     args = x, cfg, np.random.default_rng(3)
     before = threading.active_count()
     if exit_kind == "return":
-        assert _bounded_call(nlpn, *args).shape == x.shape
+        assert bounded_call(nlpn, *args).shape == x.shape
     elif exit_kind == "consumer-error":
         monkeypatch.setattr(channels, "_nlpn_steps", _fail_after_first_block)
         with pytest.raises(RuntimeError, match="step kernel failed"):
-            _bounded_call(nlpn, *args)
+            bounded_call(nlpn, *args)
     else:
         monkeypatch.setattr(channels, "_gaussian_parts", _fail_on_third_draw(_gaussian_parts))
         with pytest.raises(FloatingPointError, match="draw failed"):
-            _bounded_call(nlpn, *args)
+            bounded_call(nlpn, *args)
     assert threading.active_count() == before
 
 

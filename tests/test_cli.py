@@ -668,3 +668,19 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "artifacts written" in proc.stdout
     assert (out / "metrics.csv").exists()
+
+
+def test_cli_import_leaves_out_process_and_executor_modules():
+    """Importing the package is the whole set-up time of the bench's training
+    workloads (about 150 ms); concurrent.futures and multiprocessing add 7
+    and 9 ms to it. The helper threads need threading and queue alone."""
+    src_dir = os.path.dirname(os.path.dirname(qflearn.__file__))
+    code = "import sys, qflearn.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

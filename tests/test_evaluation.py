@@ -1,14 +1,20 @@
 """Evaluation layer: SER estimators, ML baselines, score-moment machinery."""
 
+import copy
 import dataclasses
 import math
+import pickle
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import bounded_call
 
 from qflearn import evaluation
-from qflearn.channels import AWGN, NLPN, ChannelConfig, propagate
+from qflearn.channels import AWGN, NLPN, ChannelConfig, bsc, propagate
 from qflearn.cli import write_decision_regions_csv
 from qflearn.evaluation import (
     ExactAwgnDetector,
@@ -28,7 +34,15 @@ from qflearn.evaluation import (
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
-from qflearn.evaluation import RECEIVE_ROWS, _gram_blocks, _mean_level, _receive_passes, _score_norms_sq
+from qflearn.evaluation import (
+    DEFAULT_CHUNK,
+    RECEIVE_ROWS,
+    _gram_blocks,
+    _level_codes,
+    _mean_level,
+    _receive_passes,
+    _score_norms_sq,
+)
 from qflearn.feedback import QuantizerConfig
 from qflearn.neuralnet import LINEAR, SOFTMAX, DenseNetwork
 from qflearn.training import MetricsRecord, PHASE_RX, PHASE_TX
@@ -429,9 +443,14 @@ def test_verify_bitflip_holds_weights_as_level_codes(verify_samples):
     (tracemalloc); as level codes, 21.3 MB. With the pre-processed losses
     dropped once the sent codes exist, and each weight's chunk expanded
     where it is used instead of all twelve at once, 10.4 MB. With
-    score_moments' per-component kernels it peaks at 7.7 MB; the einsum
+    score_moments' per-component kernels it peaked at 7.7 MB; the einsum
     over an (n, 2, 2) Gram gather reads 8.8 MB, and gathering all four
-    coefficients at once 9.2 MB. The bound leaves 0.77 MB of margin."""
+    coefficients at once 9.2 MB. With the flips drawn on the caller's
+    thread while a helper folds the chunk before, a draw's temporaries
+    (1.2 MB at q = 2) can coincide with the fold's: 8.2-8.3 MB. With the
+    fold's pair entries taken before its bincount buffers exist it peaks
+    at 7.6-7.8 MB over 20 runs, also beside a busy process. The bound
+    leaves 0.72 MB of margin."""
     peak = traced_peak(lambda: verify_bitflip_gradient_scaling(verify_samples, np.random.default_rng(13)))
     assert peak < 8.5e6
 
@@ -448,11 +467,12 @@ def test_verify_quantized_holds_two_full_length_temporaries():
 
 def test_verify_quantized_moments_hold_no_gram_gather(verify_samples):
     """At 200,000 samples the quantized check peaks in a chunk of
-    score_moments, beside the pre-processed losses and level codes: 7.5 MB
-    (tracemalloc). It read 10.2 MB before the per-component kernels; with
-    them, the einsum over an (n, 2, 2) Gram gather reads 8.6 MB and
+    score_moments, beside the pre-processed losses and level codes: 6.5 MB
+    (tracemalloc), 7.5 MB before the pair entries were taken ahead of the
+    bincount buffers. It read 10.2 MB before the per-component kernels;
+    with them, the einsum over an (n, 2, 2) Gram gather reads 8.6 MB and
     gathering all four coefficients at once 9.0 MB. The bound leaves
-    0.98 MB of margin."""
+    2.0 MB of margin."""
     assert traced_peak(lambda: verify_quantized_gradient_scaling(verify_samples)) < 8.5e6
 
 
@@ -724,6 +744,200 @@ def test_verify_bitflip_rejects_wide_quantizers(small_samples):
         verify_bitflip_gradient_scaling(
             small_samples, np.random.default_rng(16), q_bits_list=(3,), flip_probs=(0.1,)
         )
+
+
+@pytest.mark.parametrize("q_bits_list, flip_probs", [((1,), ()), ((), (0.1,)), ((), ())])
+def test_verify_bitflip_with_nothing_to_flip_returns_at_once(monkeypatch, small_samples, q_bits_list, flip_probs):
+    """No report to make: no loss is pre-processed, no pass runs and the
+    generator is not touched."""
+
+    def no_pass(*args):
+        raise AssertionError("the check ran a pass")
+
+    monkeypatch.setattr(evaluation, "_preprocessed_losses", no_pass)
+    monkeypatch.setattr(evaluation, "score_moments", no_pass)
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    assert verify_bitflip_gradient_scaling(small_samples, rng, q_bits_list, flip_probs) == {}
+    assert rng.bit_generator.state == state
+
+
+def fixed_losses(monkeypatch, n):
+    """Makes the check take n fixed losses in [0, 1] as the pre-processed
+    losses of any sample set, and returns them. A single real loss would
+    be a degenerate batch."""
+    pre = np.random.default_rng(n).random(n)
+    monkeypatch.setattr(evaluation, "_preprocessed_losses", lambda sample_set, clip_fraction: pre)
+    return pre
+
+
+def recorded_bsc(monkeypatch):
+    """Patches the check's bsc to record the uniforms each call draws and
+    the codes it returns, per generator, generators in order of first use."""
+    calls = {}
+
+    def recorded(codes, q_bits, flip_prob, rng):
+        uniforms = copy.deepcopy(rng).random(codes.shape + (q_bits,))
+        received = bsc(codes, q_bits, flip_prob, rng)
+        calls.setdefault(id(rng), []).append((uniforms, received))
+        return received
+
+    monkeypatch.setattr(evaluation, "bsc", recorded)
+    return calls
+
+
+def serial_flips(pre, q_bits_list, flip_probs, flip_draws, rng):
+    """(uniforms, codes) of each (q, p, draw) block of the serial loop: the
+    sent codes through bsc chunk by chunk, every block drawn from rng in
+    turn. The reference for the positioned draws."""
+    blocks = []
+    for q in q_bits_list:
+        sent = _level_codes(pre, QuantizerConfig(q))
+        for p in flip_probs:
+            for _ in range(flip_draws):
+                parts = []
+                for start in range(0, sent.size, DEFAULT_CHUNK):
+                    chunk = sent[start : start + DEFAULT_CHUNK]
+                    parts.append((copy.deepcopy(rng).random(chunk.shape + (q,)), bsc(chunk, q, p, rng)))
+                blocks.append(tuple(np.concatenate(part) for part in zip(*parts)))
+    return blocks
+
+
+def flips_and_final_states(monkeypatch, n, q_bits_list, flip_probs, flip_draws):
+    """The check's flip blocks and the serial loop's, then the final state
+    of the check's generator and the serial loop's. Both generators start
+    with half of a 64-bit output buffered by a 32-bit draw."""
+    pre = fixed_losses(monkeypatch, n)
+    calls = recorded_bsc(monkeypatch)
+    rng, serial_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for gen in (rng, serial_rng):
+        gen.random(dtype=np.float32)
+    samples = random_samples(16, np.uint8, n, seed=4)
+    verify_bitflip_gradient_scaling(samples, rng, q_bits_list, flip_probs, flip_draws=flip_draws)
+    serial = serial_flips(pre, q_bits_list, flip_probs, flip_draws, serial_rng)
+    positioned = [tuple(np.concatenate(part) for part in zip(*block)) for block in calls.values()]
+    assert len(positioned) == len(serial) == len(q_bits_list) * len(flip_probs) * flip_draws
+    for block, serial_block in zip(positioned, serial):
+        assert [part.tobytes() for part in block] == [part.tobytes() for part in serial_block]
+    return rng.bit_generator.state, serial_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "q_bits_list, n",
+    [((q,), n) for q in (1, 2) for n in (1, 65_535, 65_536, 65_537, 200_001)] + [((2, 1), 65_537)],
+)
+def test_positioned_flips_equal_the_serial_bsc_loop(monkeypatch, q_bits_list, n):
+    """Each (q, p, draw) block draws from its own copy of the generator,
+    moved to where the serial loop would start it, chunk after chunk: the
+    same uniforms and codes byte for byte, and the same final state."""
+    state, serial_state = flips_and_final_states(monkeypatch, n, q_bits_list, (0.1, 0.3), 3)
+    assert state == serial_state
+
+
+def test_flip_generator_keeps_a_buffered_32_bit_half(monkeypatch):
+    """The serial loop's float64 draws leave a buffered 32-bit half where
+    it is. The default check ends in that state too, although moving a
+    generator clears the buffer."""
+    state, serial_state = flips_and_final_states(monkeypatch, 70_000, (1, 2), (0.1, 0.2, 0.3), 8)
+    assert state["has_uint32"] == 1
+    assert state == serial_state
+
+
+def test_verify_bitflip_rejects_a_generator_it_cannot_position(small_samples):
+    with pytest.raises(ValueError, match="PCG64"):
+        verify_bitflip_gradient_scaling(small_samples, np.random.Generator(np.random.Philox(16)))
+
+
+def test_flips_are_drawn_on_the_main_thread_and_folded_on_one_helper(monkeypatch, small_samples):
+    """bsc is traced by the bench, whose spans assume one thread: every
+    call runs on the main thread, while one helper thread folds the
+    chunks. The quantized check folds on the main thread."""
+    seen = {"bsc": [], "fold": []}
+
+    def on_thread(key, fn):
+        def noted(*args):
+            seen[key].append(threading.current_thread())
+            return fn(*args)
+
+        return noted
+
+    monkeypatch.setattr(evaluation, "bsc", on_thread("bsc", bsc))
+    monkeypatch.setattr(evaluation, "_score_norms_sq", on_thread("fold", _score_norms_sq))
+    verify_bitflip_gradient_scaling(small_samples, np.random.default_rng(13))
+    assert len(seen["bsc"]) == 48 and set(seen["bsc"]) == {threading.main_thread()}
+    assert len(set(seen["fold"])) == 1 and threading.main_thread() not in seen["fold"]
+    seen["fold"].clear()
+    verify_quantized_gradient_scaling(small_samples)
+    assert set(seen["fold"]) == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("failure", [None, "expansion", "draw"])
+def test_bitflip_check_leaves_no_thread_behind(monkeypatch, failure):
+    """Four chunks, each drawn in 48 bsc calls and folded with 18 mean-level
+    expansions. An error in the second chunk's fold, on the helper, stops
+    the caller once it has drawn the third chunk: the first fold is slowed,
+    so a caller more than one chunk ahead would draw the fourth. An error
+    in a bsc call of the third chunk, on the caller's thread, stops the
+    fold. Either is raised in the caller, and the helper is joined on every
+    exit."""
+    samples = random_samples(16, np.uint8, 4 * DEFAULT_CHUNK, seed=5)
+    calls = {"bsc": 0, "expand": 0}
+
+    def counted_bsc(*args):
+        calls["bsc"] += 1
+        if failure == "draw" and calls["bsc"] == 2 * 48 + 5:
+            raise RuntimeError("draw failed")
+        return bsc(*args)
+
+    def counted(expand):
+        def expand_or_fail(codes):
+            calls["expand"] += 1
+            if calls["expand"] == 1:
+                time.sleep(0.2)
+            if failure == "expansion" and calls["expand"] == 18 + 1:
+                raise RuntimeError("expansion failed")
+            return expand(codes)
+
+        return expand_or_fail
+
+    monkeypatch.setattr(evaluation, "bsc", counted_bsc)
+    monkeypatch.setattr(evaluation, "_mean_level", lambda cfg, flip_draws: counted(_mean_level(cfg, flip_draws)))
+    before = threading.active_count()
+    check = verify_bitflip_gradient_scaling, samples, np.random.default_rng(13)
+    if failure is None:
+        assert len(bounded_call(*check)) == 6
+    else:
+        with pytest.raises(RuntimeError, match=f"{failure} failed"):
+            bounded_call(*check)
+    assert calls["bsc"] == {None: 4 * 48, "expansion": 3 * 48, "draw": 2 * 48 + 5}[failure]
+    assert threading.active_count() == before
+
+
+def test_bitflip_checks_on_many_threads_keep_their_bits():
+    """Three checks at once, each with its helper, on two cores, with the
+    interpreter switching threads every microsecond: every report keeps
+    the bits of the check run alone, so no fold read a chunk before its
+    flips were added in."""
+    samples = random_samples(16, np.uint8, 2 * DEFAULT_CHUNK + 1, seed=6)
+
+    def report_bytes():
+        reports = verify_bitflip_gradient_scaling(samples, np.random.default_rng(13))
+        return pickle.dumps({key: dataclasses.astuple(report) for key, report in reports.items()})
+
+    alone = report_bytes()
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: seen.append(report_bytes()), daemon=True) for _ in range(3)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "a check did not return"
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [alone] * 3
 
 
 @pytest.mark.parametrize("q", [1, 2])
