@@ -89,8 +89,8 @@ def awgn(x, cfg, rng):
 # Most normals one nlpn noise draw of a single channel use may hold (64 KB).
 # A batch of 64 draws all K = 50 steps at once; inputs of more than 2,048
 # symbols draw one step at a time. A piped call (_NLPN_PIPELINE_SYMBOLS)
-# holds at most 3 step blocks at once: the one being stepped, one queued
-# and one drawn ahead, under 5 MB at 10^5 symbols.
+# holds at most 2 step blocks at once: the one being stepped and the one
+# being drawn, under 4 MB at 10^5 symbols.
 _NLPN_DRAW_NORMALS = 2**13
 # Most normals one draw for a group of whole rows of a stacked (2-d) input
 # may hold (512 KB): groups of 10 rows of 64 symbols at K = 50. A whole
@@ -108,10 +108,10 @@ _NLPN_ROW_GROUP_NORMALS = 2**16
 _ELIDE_BYTES = 256 * 1024
 
 
-def _nlpn_steps(x, cfg, noise_blocks):
-    """The K-step recursion on x; noise_blocks yields the step noise as
-    _gaussian_parts arrays of consecutive steps, each of shape
-    (steps, 2) + x.shape.
+def _nlpn_steps(x, cfg):
+    """(out, step): out starts as a copy of x, and step(block) runs the
+    recursion on out for one _gaussian_parts array of consecutive steps'
+    noise, of shape (steps, 2) + x.shape.
 
     Each step is x <- x * exp(1j * c * |x|^2) + noise, computed in three
     buffers allocated once. The product goes to its own buffer: on a
@@ -128,7 +128,8 @@ def _nlpn_steps(x, cfg, noise_blocks):
     factors = (rot, out) if rot.nbytes >= _ELIDE_BYTES else (out, rot)
     rot_re, rot_im, prod_re, prod_im = rot.real, rot.imag, prod.real, prod.imag
     out_re, out_im = out.real, out.imag
-    for block in noise_blocks:
+
+    def step(block):
         for re, im in block:
             np.abs(out, out=theta)
             np.square(theta, out=theta)
@@ -138,95 +139,82 @@ def _nlpn_steps(x, cfg, noise_blocks):
             np.multiply(*factors, out=prod)
             np.add(prod_re, re, out=out_re)
             np.add(prod_im, im, out=out_im)
-    return out
+
+    return out, step
 
 
-# From this many symbols up, a single channel use draws its step noise on a
-# helper thread, one step ahead of the recursion (both halves release the
-# GIL at these sizes). One NLPN desk call (K = 50), serial against piped,
-# 10 alternating pairs per size on 2 cores, best time of each side:
-#     4,097 symbols: 13.8 ms against 10.5 ms, piped won 10/10
-#    10,000 symbols: 30.1 ms against 22.4 ms, piped won 10/10
-#    16,384 symbols: 48.9 ms against 34.3 ms, piped won 10/10
-#    65,536 symbols:  245 ms against  139 ms, piped won 10/10
-#   100,000 symbols:  336 ms against  189 ms, piped won 10/10
+# From this many symbols up, a single channel use steps its recursion on a
+# helper thread, one block behind the caller's noise draws (both halves
+# release the GIL at these sizes). One NLPN desk call (K = 50), serial
+# against piped, 10 alternating pairs per size on 2 cores, best time of
+# each side:
+#     4,097 symbols: 10.6 ms against  8.1 ms, piped won 8/10
+#    10,000 symbols: 25.3 ms against 18.3 ms, piped won 10/10
+#    16,384 symbols: 41.1 ms against 29.2 ms, piped won 10/10
+#    65,536 symbols:  188 ms against  118 ms, piped won 10/10
+#   100,000 symbols:  294 ms against  173 ms, piped won 10/10
 # Smaller inputs, such as training's 64-symbol batches and row groups,
 # stay on one thread.
 _NLPN_PIPELINE_SYMBOLS = 4_097
 
 
-class _DrawnAhead:
-    """Iterates the blocks of an iterable drawn on a helper thread, at most
-    one block queued ahead of the consumer.
+def _fold_behind(fold, items):
+    """fold(item) on one helper thread for each of items, which only the
+    calling thread iterates, at most one item ahead of the fold: NLPN steps
+    behind their noise draws, bit-flip moments behind their flips. An error
+    on either side stops the other; the helper is joined and the error
+    raised here."""
+    todo, errors = queue.Queue(maxsize=1), []
 
-    Only the helper iterates the blocks, so a generator behind them sees
-    the same calls in the same order as a serial loop. Used as a context
-    manager: leaving it, by return or raise, stops the helper and joins
-    it. A helper error is raised in the consumer when it reaches the
-    block that failed.
-    """
+    def run():
+        while (item := todo.get()) is not None:
+            try:
+                if not errors:
+                    fold(item)
+            except BaseException as err:  # raised again in the caller
+                errors.append(err)
+            del item  # dropped before the caller draws the one after next
+            todo.task_done()
 
-    _DONE = object()
-
-    def __init__(self, blocks):
-        self._blocks = blocks
-        self._queue = queue.Queue(maxsize=1)
-        self._stop = threading.Event()
-        self._error = None
-        self._thread = threading.Thread(target=self._produce, daemon=True)
-
-    def _produce(self):
-        # Every put follows a check of the stop flag, so once the flag is
-        # set at most one put is still on its way, and the drain in
-        # __exit__ leaves room for it: the helper never blocks for good.
-        try:
-            for block in self._blocks:
-                if self._stop.is_set():
-                    return
-                self._queue.put(block)
-        except BaseException as err:  # raised again in the consumer
-            self._error = err
-        if not self._stop.is_set():
-            self._queue.put(self._DONE)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __iter__(self):
-        while (block := self._queue.get()) is not self._DONE:
-            yield block
-        if self._error is not None:
-            raise self._error
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        try:
-            while True:
-                self._queue.get_nowait()
-        except queue.Empty:
-            pass
-        self._thread.join()
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    try:
+        for item in items:
+            todo.join()  # the item before is folded
+            if errors:
+                break
+            todo.put(item)
+    finally:
+        todo.join()
+        todo.put(None)
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _nlpn_use(x, cfg, rng):
     """One channel use, its noise drawn in blocks of steps capped at
     _NLPN_DRAW_NORMALS normals. From _NLPN_PIPELINE_SYMBOLS symbols up
-    the blocks are drawn on a helper thread while the recursion runs."""
+    a helper thread steps each block while the caller draws the next."""
     step_var = cfg.sigma_sq_mw / cfg.K
     block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
     blocks = (_gaussian_parts(x.shape, step_var, rng, (min(block, cfg.K - k),)) for k in range(0, cfg.K, block))
+    out, step = _nlpn_steps(x, cfg)
     if x.size < _NLPN_PIPELINE_SYMBOLS:
-        return _nlpn_steps(x, cfg, blocks)
-    with _DrawnAhead(blocks) as ahead:
-        return _nlpn_steps(x, cfg, ahead)
+        for noise in blocks:
+            step(noise)
+    else:
+        _fold_behind(step, blocks)
+    return out
 
 
 def _nlpn_rows(x, cfg, rng):
     """A group of whole rows of a stacked input, all K steps of every row
     drawn at once: one (rows, K, 2, B) draw."""
     noise = _gaussian_parts(x.shape[1:], cfg.sigma_sq_mw / cfg.K, rng, (len(x), cfg.K))
-    return _nlpn_steps(x, cfg, [np.moveaxis(noise, 0, 2)])
+    out, step = _nlpn_steps(x, cfg)
+    step(np.moveaxis(noise, 0, 2))
+    return out
 
 
 def nlpn(x, cfg, rng):

@@ -210,7 +210,7 @@ def load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
     version = _require(cfg, "schema_version", "config")
-    if version != CONFIG_SCHEMA_VERSION:
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:  # True and 1.0 equal 1
         raise ConfigError(f"unsupported schema_version {version!r}; this build expects {CONFIG_SCHEMA_VERSION}")
     _check_seed(_require(cfg, "seed", "config"))
     output_dir = cfg.get("output_dir", "out")

@@ -8,20 +8,20 @@ quantization error and the Fisher trace), and flipping feedback bits with
 probability p scales it further by (1 - 2p). Everything runs on a frozen
 transceiver, where the score of a sampled symbol factors through the
 constellation Jacobian: s_k = J[m_k]^T u_k with u_k = 2 w_k / sigma_p^2.
-That factorization keeps 10^6-sample studies at a few hundred MB instead of
-a 12 GB score matrix, and a sample keeps 9 bytes: w is replayed, not stored.
+That factorization keeps a 10^6-sample study near 30 MB, not a 12 GB score
+matrix (tracemalloc: a 9.4 MB sample set, each check at most 20.3 MB over
+it; the eval_mc benchmark process peaks near 79 MB), and a sample keeps 9
+bytes: w is replayed, not stored.
 """
 
 import copy
 import math
-import queue
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BscConfig, bsc, propagate
+from .channels import BscConfig, _fold_behind, bsc, propagate
 from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
@@ -471,37 +471,6 @@ def _pair_key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _fold_behind(fold, items):
-    """fold(item) on a helper thread for each of items, which the calling
-    thread iterates at most one item ahead of the fold. An error on either
-    side stops the other; the helper is joined and the error raised here."""
-    todo, errors = queue.Queue(maxsize=1), []
-
-    def run():
-        while (item := todo.get()) is not None:
-            try:
-                if not errors:
-                    fold(item)
-            except BaseException as err:  # raised again in the caller
-                errors.append(err)
-            todo.task_done()
-
-    helper = threading.Thread(target=run, daemon=True)
-    helper.start()
-    try:
-        for item in items:
-            todo.join()  # the item before is folded
-            if errors:
-                break
-            todo.put(item)
-    finally:
-        todo.join()
-        todo.put(None)
-        helper.join()
-    if errors:
-        raise errors[0]
-
-
 def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, ready=None):
     """One chunked pass over the samples computing the weighted moments.
 
@@ -512,8 +481,8 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, ready=None
     Mean vectors are accumulated per message as sum_k a_k u_k and contracted
     with the Jacobian once at the end, so no (N, P) score matrix ever exists.
     Given ready, which yields once per chunk when that chunk's weights are
-    final, the chunks are folded on a helper thread (see _fold_behind) as
-    ready makes the next chunk's weights on the caller's thread.
+    final, the chunks are folded on a helper thread (channels._fold_behind)
+    while ready makes the next chunk's weights on the caller's thread.
     """
     names = list(weights)
     n = sample_set.num_samples

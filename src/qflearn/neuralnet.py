@@ -221,6 +221,8 @@ def network_to_dict(net):
 
 def network_from_dict(doc):
     """The network a checkpoint dict describes; ValueError if it is malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed checkpoint: a {type(doc).__name__}, not an object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError("unsupported checkpoint schema version")
     try:

@@ -1,5 +1,6 @@
 """Channel model checks: unit conversions, noise moments, phase recursion, BSC."""
 
+import queue
 import threading
 import time
 
@@ -178,7 +179,7 @@ ELIDE_SYMBOLS = 256 * 1024 // 16  # complex128 symbols from which NumPy elides t
 # two full row groups and a partial one. Then a 0-d use, one full row group
 # (10x64), the two sides of NumPy's temporary elision, where the operand
 # order of the step's complex product changes, the two sides of the size
-# from which the noise is drawn on a helper thread, and a stack of two uses
+# from which the recursion steps on a helper thread, and a stack of two uses
 # that each take the helper.
 @pytest.mark.parametrize(
     "shape",
@@ -209,12 +210,20 @@ def test_pipeline_cases_draw_one_step_per_draw():
     assert 2 * 50 * PIPE > ROW_GROUP_CAP  # a stacked row this wide goes through the single-use path
 
 
-def _fail_after_first_block(x, cfg, noise_blocks):
-    """A step kernel that fails on its first block, after waiting long
-    enough for the helper to fill the queue and block on its next put."""
-    for _ in noise_blocks:
-        time.sleep(0.2)
-        raise RuntimeError("step kernel failed")
+def _fail_on_first_block(real_steps):
+    """Step kernels that fail on their first block, after waiting long
+    enough for the caller to draw the next block and block on its put."""
+
+    def steps(x, cfg):
+        out, _ = real_steps(x, cfg)
+
+        def step(block):
+            time.sleep(0.2)
+            raise RuntimeError("step kernel failed")
+
+        return out, step
+
+    return steps
 
 
 def _fail_on_third_draw(real_parts):
@@ -231,8 +240,9 @@ def _fail_on_third_draw(real_parts):
 
 @pytest.mark.parametrize("exit_kind", ["return", "consumer-error", "producer-error"])
 def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
-    """A call that draws on a helper thread joins it on every exit, and an
-    error on either side reaches the caller."""
+    """A call that steps on a helper thread joins it on every exit, and an
+    error on either side reaches the caller: a step error on the helper
+    (consumer) or a draw error on the caller (producer)."""
     cfg = ChannelConfig(sigma_sq_dbm=-21.3, **NLPN_DESK)
     x = np.full(PIPE, 0.5 + 0.5j)
     args = x, cfg, np.random.default_rng(3)
@@ -240,7 +250,7 @@ def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
     if exit_kind == "return":
         assert bounded_call(nlpn, *args).shape == x.shape
     elif exit_kind == "consumer-error":
-        monkeypatch.setattr(channels, "_nlpn_steps", _fail_after_first_block)
+        monkeypatch.setattr(channels, "_nlpn_steps", _fail_on_first_block(channels._nlpn_steps))
         with pytest.raises(RuntimeError, match="step kernel failed"):
             bounded_call(nlpn, *args)
     else:
@@ -249,6 +259,26 @@ def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
             bounded_call(nlpn, *args)
     assert threading.active_count() == before
 
+
+
+class _LingeringQueue(queue.Queue):
+    """A queue whose get hands out the stop sentinel 0.2 s late, so a
+    helper left unjoined is still alive when the call returns."""
+
+    def get(self, *args, **kwargs):
+        item = super().get(*args, **kwargs)
+        if item is None:
+            time.sleep(0.2)
+        return item
+
+
+def test_fold_behind_joins_its_helper(monkeypatch):
+    monkeypatch.setattr(channels.queue, "Queue", _LingeringQueue)
+    folded = []
+    before = threading.active_count()
+    bounded_call(channels._fold_behind, folded.append, range(3))
+    assert folded == [0, 1, 2]
+    assert threading.active_count() == before
 
 @pytest.mark.parametrize("shape", [(), (1,), (64,), (10, 64), (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,)])
 def test_nlpn_multi_radian_steps_match_per_step_recursion(shape):

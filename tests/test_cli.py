@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,10 +77,12 @@ def test_unknown_nested_key_rejected(tmp_path, capsys):
 
 
 def test_wrong_schema_version_rejected(tmp_path, capsys):
+    """Only the integer 1 passes: True and 1.0 compare equal to it."""
     cfg = base_config(tmp_path / "out")
-    cfg["schema_version"] = 99
-    assert main(["train", write_config(tmp_path, cfg)]) == 2
-    assert "schema_version" in capsys.readouterr().err
+    for version in (99, True, 1.0, "1"):
+        cfg["schema_version"] = version
+        assert main(["bussgang", write_config(tmp_path, cfg)]) == 2, version
+        assert "schema_version" in capsys.readouterr().err
 
 
 def test_non_integer_seed_rejected(tmp_path):
@@ -146,7 +149,7 @@ def test_non_finite_json_literal_rejected(tmp_path, capsys, section, key, value,
     cfg = base_config(out, quantizer={"q_bits": 1})
     cfg[section][key] = value  # json.dumps writes NaN / Infinity literals
     path = write_config(tmp_path, cfg)
-    assert literal in open(path).read()
+    assert literal in Path(path).read_text()
     assert main(["train", path]) == 2
     assert literal in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
@@ -345,7 +348,7 @@ def test_noiseless_minus_infinity_config_still_loads_and_trains(tmp_path):
     cfg = base_config(out)
     cfg["channel"]["sigma_sq_dbm"] = float("-inf")
     path = write_config(tmp_path, cfg)
-    assert "-Infinity" in open(path).read()
+    assert "-Infinity" in Path(path).read_text()
     assert load_config(path)["channel"]["sigma_sq_dbm"] == float("-inf")
     assert main(["train", path]) == 0
     assert (out / "metrics.csv").exists()
