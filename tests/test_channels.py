@@ -260,7 +260,6 @@ def test_piped_call_leaves_no_thread_behind(monkeypatch, exit_kind):
     assert threading.active_count() == before
 
 
-
 class _LingeringQueue(queue.Queue):
     """A queue whose get hands out the stop sentinel 0.2 s late, so a
     helper left unjoined is still alive when the call returns."""
@@ -279,6 +278,7 @@ def test_fold_behind_joins_its_helper(monkeypatch):
     bounded_call(channels._fold_behind, folded.append, range(3))
     assert folded == [0, 1, 2]
     assert threading.active_count() == before
+
 
 @pytest.mark.parametrize("shape", [(), (1,), (64,), (10, 64), (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,)])
 def test_nlpn_multi_radian_steps_match_per_step_recursion(shape):

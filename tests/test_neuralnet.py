@@ -397,7 +397,6 @@ def test_malformed_checkpoint_rejected(tmp_path, corrupt, message):
         load_network(str(path))
 
 
-
 @pytest.mark.parametrize("doc", [[], "x", None])
 def test_non_object_checkpoint_rejected(tmp_path, doc):
     path = tmp_path / "net.json"
@@ -406,6 +405,7 @@ def test_non_object_checkpoint_rejected(tmp_path, doc):
         network_from_dict(doc)
     with pytest.raises(ValueError, match="malformed checkpoint"):
         load_network(str(path))
+
 
 def test_backward_batch_sums_per_sample_gradients():
     """Gradient of a 2-sample batch equals the sum of single-sample gradients."""
