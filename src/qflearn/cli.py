@@ -33,7 +33,7 @@ from .evaluation import (
     verify_bitflip_gradient_scaling,
     verify_quantized_gradient_scaling,
 )
-from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain
+from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain, losses_to_clip
 from .neuralnet import save_network
 from .training import TrainingConfig, TrainState, advance, check_counts, train, write_csv, write_metrics_csv
 from .transceiver import constellation
@@ -394,6 +394,11 @@ def cmd_verify(cfg, out_dir):
         raise ConfigError(
             f"invalid verify config: snapshot_iter {snapshot_iter} must lie in "
             f"1..num_iterations ({training.num_iterations})"
+        )
+    if vf.num_samples - losses_to_clip(vf.num_samples, training.clip_fraction) < 2:
+        raise ConfigError(
+            f"invalid verify config: num_samples {vf.num_samples} leaves one loss unclipped at "
+            f"clip_fraction {training.clip_fraction}; pre-processing needs two"
         )
 
     # Only the networks after snapshot_iter are measured, so train no further.

@@ -83,6 +83,13 @@ class BussgangEstimate:
     w_bar: float  # |1 - 1/2^(q-1) - g| quantization-error bound
 
 
+def losses_to_clip(n, clip_fraction):
+    """How many of n losses preprocess clips: the top ceil(clip_fraction*n),
+    capped at n-1 so at least one stays unclipped. With fewer than two
+    unclipped, the clipped range is zero and the batch degenerate."""
+    return min(math.ceil(clip_fraction * n), n - 1)
+
+
 def preprocess(raw, clip_fraction=DEFAULT_CLIP_FRACTION):
     """Clip the top ceil(clip_fraction*B) losses, shift by the min, scale to [0, 1].
 
@@ -97,9 +104,7 @@ def preprocess(raw, clip_fraction=DEFAULT_CLIP_FRACTION):
     if not 0.0 <= clip_fraction < 1.0:
         raise ValueError("clip_fraction must lie in [0, 1)")
     n = raw.size
-    # Clip count capped at n-1 so at least one value stays unclipped.
-    n_clip = min(int(np.ceil(clip_fraction * n)), n - 1)
-    l_min, l_max = np.sort(raw)[[0, n - 1 - n_clip]].tolist()  # the sorted copy dies here
+    l_min, l_max = np.sort(raw)[[0, n - 1 - losses_to_clip(n, clip_fraction)]].tolist()  # the sorted copy dies here
     clip_count = int(np.count_nonzero(raw > l_max))
     if l_max <= l_min:
         stats = PreprocessStats(l_min, l_max, clip_count, degenerate=True)

@@ -112,6 +112,12 @@ def forward(net, x):
     activation output, one array per layer, and is consumed by backward().
     Each activation is applied in place over its pre-activation.
     """
+    return _forward(net, x)
+
+
+def _forward(net, x):
+    """forward's kernel, for code on a helper thread, which must not call
+    a function the bench traces (README, Reproducibility)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     a = x.reshape(1, -1) if x.ndim < 2 else x  # np.atleast_2d, without its call overhead

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qflearn import rngstreams
-from qflearn.channels import AWGN, NLPN, BscConfig, ChannelConfig
+from qflearn.channels import AWGN, NLPN, BscConfig, ChannelConfig, _blas_threads
 from qflearn.evaluation import (
     collect_score_samples,
     convergence_iteration,
@@ -81,6 +81,16 @@ def bounded_call(fn, *args):
     if "error" in out:
         raise out["error"]
     return out["value"]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def blas_threads_restored():
+    """Fails the session if NumPy's OpenBLAS thread count at its end differs
+    from its start: a one-thread pin (channels._pin_blas) left behind
+    would slow every later BLAS call."""
+    start = _blas_threads()
+    yield
+    assert _blas_threads() == start, f"OpenBLAS thread count {_blas_threads()} at session end, {start} at its start"
 
 
 def record_acceptance(criterion, passed, detail, sub=""):

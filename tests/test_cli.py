@@ -292,6 +292,9 @@ def test_out_of_range_feedback_config_exits_2(tmp_path, capsys, section, body, m
         ("verify", "verify", {"num_samples": 1000, "flip_probs": [0.1, 0.1]}, "flip_probs repeats a value: [0.1, 0.1]"),
         ("verify", "verify", {"num_samples": 1000, "quantized_bits": [1, 3, 1]}, "quantized_bits repeats a value"),
         ("verify", "verify", {"num_samples": 1000, "bitflip_bits": [2, 2]}, "bitflip_bits repeats a value"),
+        # pre-processing keeps one order statistic: zero range after clipping
+        ("verify", "verify", {"num_samples": 1}, "num_samples 1 leaves one loss unclipped at clip_fraction 0.05"),
+        ("verify", "verify", {"num_samples": 2}, "num_samples 2 leaves one loss unclipped at clip_fraction 0.05"),
     ],
 )
 def test_out_of_range_command_section_exits_2_before_training(tmp_path, capsys, command, section, body, message):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from conftest import bounded_call
 
-from qflearn import evaluation
-from qflearn.channels import AWGN, NLPN, ChannelConfig, bsc, propagate
+from qflearn import channels, evaluation, neuralnet, transceiver
+from qflearn.channels import AWGN, NLPN, ChannelConfig, _blas_threads, bsc, propagate
 from qflearn.cli import write_decision_regions_csv
 from qflearn.evaluation import (
     ExactAwgnDetector,
@@ -50,6 +50,7 @@ from qflearn.transceiver import (
     build_receiver,
     build_transmitter,
     constellation,
+    cross_entropy_losses,
     exploration_noise,
     exploration_variance,
     perturb,
@@ -356,20 +357,29 @@ def test_collect_score_samples_holds_no_full_chunk_tape():
     assert peak < 7e6
 
 
-def stored_collection(tx, num_samples, rng):
-    """The perturbations a collection draws, kept in one (N, 2) array: the
-    messages, exploration and channel draws of each 65,536-sample chunk in
-    collect_score_samples' order, with the perturbations stored instead of
-    replayed. The reference for the replay."""
-    sigma_p_sq = exploration_variance(CHANNEL.P_mw)
-    points = constellation(tx, 16, CHANNEL.P_mw)
+def serial_collection(tx, rx, channel, num_samples, rng):
+    """(messages, perturbations, raw losses) of the serial collection loop:
+    the messages, exploration and channel draws of each 65,536-sample chunk,
+    then one receiver pass after another on the caller's thread, with the
+    perturbations stored instead of replayed. The reference for the split
+    passes and the replay."""
+    sigma_p_sq = exploration_variance(channel.P_mw)
+    points = constellation(tx, 16, channel.P_mw)
+    messages = np.empty(num_samples, dtype=np.uint8)
+    raw_losses = np.empty(num_samples)
     kept = []
     for start in range(0, num_samples, 65_536):
-        m = rng.integers(0, 16, size=min(65_536, num_samples - start))
+        sl = slice(start, min(start + 65_536, num_samples))
+        messages[sl] = m = rng.integers(0, 16, size=sl.stop - sl.start)
         perturbed, w = perturb(points[m], sigma_p_sq, rng)
-        propagate(real_to_complex(perturbed), CHANNEL, rng)
+        y = propagate(real_to_complex(perturbed), channel, rng)
         kept.append(w)
-    return np.concatenate(kept)
+        pass_start = sl.start
+        for part in np.array_split(y, max(len(y) // RECEIVE_ROWS, 1)):
+            rows = slice(pass_start, pass_start + len(part))
+            raw_losses[rows] = cross_entropy_losses(receive(rx, part)[0], messages[rows])
+            pass_start += len(part)
+    return messages, np.concatenate(kept), raw_losses
 
 
 def replay_collection(num_samples):
@@ -379,7 +389,151 @@ def replay_collection(num_samples):
     rx = build_receiver(16, np.random.default_rng(11))
     rng, stored_rng = np.random.default_rng(12), np.random.default_rng(12)
     samples = collect_score_samples(tx, rx, CHANNEL, 16, num_samples, rng)
-    return samples, rng, stored_collection(tx, num_samples, stored_rng), stored_rng
+    return samples, rng, serial_collection(tx, rx, CHANNEL, num_samples, stored_rng)[1], stored_rng
+
+
+@pytest.mark.parametrize(
+    "family, num_samples", [(AWGN, n) for n in (1, 1_023, 1_025, 65_535, 65_536, 65_537, 150_001)] + [(NLPN, 70_000)]
+)
+def test_split_collection_equals_the_serial_loop(family, num_samples):
+    """Receiver passes split between the caller and the helper keep the
+    serial loop's losses, messages, perturbations and final generator
+    state byte for byte. On NLPN each chunk's propagate runs its own
+    helper-thread pipeline inside the collection's."""
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    channel = {AWGN: CHANNEL, NLPN: NLPN_SMALL}[family]
+    rng, serial_rng = np.random.default_rng(12), np.random.default_rng(12)
+    samples = collect_score_samples(tx, rx, channel, 16, num_samples, rng)
+    messages, perturbations, raw_losses = serial_collection(tx, rx, channel, num_samples, serial_rng)
+    assert samples.raw_losses.tobytes() == raw_losses.tobytes()
+    assert samples.messages.tobytes() == messages.tobytes()
+    assert samples.perturbations[:].tobytes() == perturbations.tobytes()
+    assert rng.bit_generator.state == serial_rng.bit_generator.state
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test, so a pin left at one thread
+    shows; None without the library."""
+    blas = channels._openblas()
+    if blas is None:
+        yield None
+        return
+    get, set_ = blas
+    saved = get()
+    set_(2)
+    try:
+        yield 2
+    finally:
+        set_(saved)
+
+
+def test_collection_traces_on_the_main_thread_and_passes_on_one_helper(monkeypatch, two_blas_threads):
+    """receive, forward, perturb and propagate are traced by the bench,
+    whose spans assume one thread: every call of a collection runs on the
+    main thread, 24 + 24 + 7 passes of three chunks among them, while one
+    helper thread runs the other 40 + 40 + 11 through the untraced kernel,
+    with OpenBLAS held to one thread."""
+    seen = {key: [] for key in ("receive", "forward", "perturb", "propagate", "kernel")}
+    blas_seen = []
+
+    def on_thread(key, fn):
+        def noted(*args):
+            seen[key].append(threading.current_thread())
+            if key == "kernel":
+                blas_seen.append(_blas_threads())
+            return fn(*args)
+
+        return noted
+
+    monkeypatch.setattr(evaluation, "receive", on_thread("receive", receive))
+    monkeypatch.setattr(transceiver, "forward", on_thread("forward", neuralnet.forward))
+    monkeypatch.setattr(evaluation, "perturb", on_thread("perturb", perturb))
+    monkeypatch.setattr(evaluation, "propagate", on_thread("propagate", propagate))
+    monkeypatch.setattr(evaluation, "_forward", on_thread("kernel", neuralnet._forward))
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    collect_score_samples(tx, rx, CHANNEL, 16, 150_001, np.random.default_rng(12))
+    for key in ("receive", "forward", "perturb", "propagate"):
+        assert set(seen[key]) == {threading.main_thread()}, key
+    assert (len(seen["receive"]), len(seen["forward"]), len(seen["perturb"])) == (55, 56, 3)
+    assert len(seen["kernel"]) == 91
+    assert len(set(seen["kernel"])) == 1 and threading.main_thread() not in seen["kernel"]
+    assert set(blas_seen) == ({1} if two_blas_threads else {None})
+    assert _blas_threads() == two_blas_threads
+
+
+@pytest.mark.parametrize("failure", [None, "pass", "draw"])
+def test_collection_leaves_no_thread_behind(monkeypatch, two_blas_threads, failure):
+    """Four chunks of 24 caller and 40 helper passes each. An error in the
+    helper's first pass of the second chunk stops the caller once it has
+    drawn the third chunk: the helper's first pass is slowed, so a caller
+    more than one chunk ahead would draw the fourth. An error in the third
+    chunk's perturbation draw, on the caller's thread, stops the passes.
+    Either is raised in the caller; the helper is joined and OpenBLAS's
+    thread count restored on every exit."""
+    calls = {"kernel": 0, "perturb": 0}
+
+    def kernel(net, x):
+        calls["kernel"] += 1
+        if calls["kernel"] == 1:
+            time.sleep(0.2)
+        if failure == "pass" and calls["kernel"] == 40 + 1:
+            raise RuntimeError("pass failed")
+        return neuralnet._forward(net, x)
+
+    def counted_perturb(*args):
+        calls["perturb"] += 1
+        if failure == "draw" and calls["perturb"] == 3:
+            raise RuntimeError("draw failed")
+        return perturb(*args)
+
+    monkeypatch.setattr(evaluation, "_forward", kernel)
+    monkeypatch.setattr(evaluation, "perturb", counted_perturb)
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+    before = threading.active_count()
+    collection = collect_score_samples, tx, rx, CHANNEL, 16, 4 * DEFAULT_CHUNK, np.random.default_rng(12)
+    if failure is None:
+        assert bounded_call(*collection).num_samples == 4 * DEFAULT_CHUNK
+    else:
+        with pytest.raises(RuntimeError, match=f"{failure} failed"):
+            bounded_call(*collection)
+    assert calls["perturb"] == {None: 4, "pass": 3, "draw": 3}[failure]
+    assert calls["kernel"] == {None: 4 * 40, "pass": 40 + 1, "draw": 2 * 40}[failure]
+    assert threading.active_count() == before
+    assert _blas_threads() == two_blas_threads
+
+
+def test_concurrent_collections_keep_their_bits_and_restore_blas(two_blas_threads):
+    """Three collections at once on two cores, each with its helper and
+    its OpenBLAS pin, the interpreter switching threads every microsecond:
+    each keeps the bits of a collection run alone, and the thread count
+    the first pin saved is restored once the last one is released."""
+    tx = build_transmitter(16, np.random.default_rng(10))
+    rx = build_receiver(16, np.random.default_rng(11))
+
+    def collection_bytes():
+        rng = np.random.default_rng(12)
+        samples = collect_score_samples(tx, rx, CHANNEL, 16, 2 * DEFAULT_CHUNK + 1, rng)
+        return samples.raw_losses.tobytes(), samples.messages.tobytes(), repr(rng.bit_generator.state)
+
+    alone = collection_bytes()
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: seen.append(collection_bytes()), daemon=True) for _ in range(3)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "a collection did not return"
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [alone] * 3
+    assert _blas_threads() == two_blas_threads
 
 
 @pytest.mark.parametrize("num_samples", [1, 65_535, 65_536, 65_537, 150_001])
