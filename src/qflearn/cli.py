@@ -30,8 +30,7 @@ from .evaluation import (
     detector_ser,
     estimate_ser,
     qam16,
-    verify_bitflip_gradient_scaling,
-    verify_quantized_gradient_scaling,
+    verify_gradient_scaling,
 )
 from .feedback import QuantizerConfig, bussgang_gain, gaussian_one_bit_gain, losses_to_clip
 from .neuralnet import save_network
@@ -407,10 +406,9 @@ def cmd_verify(cfg, out_dir):
 
     rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY)
     samples = collect_score_samples(snapshot.tx, snapshot.rx, channel, training.num_messages, vf.num_samples, rng)
-    quant_reports = verify_quantized_gradient_scaling(samples, vf.quantized_bits, training.clip_fraction)
     flip_rng = rngstreams.substream(cfg["seed"], rngstreams.VERIFY, 1)
-    flip_reports = verify_bitflip_gradient_scaling(
-        samples, flip_rng, vf.bitflip_bits, vf.flip_probs, training.clip_fraction
+    quant_reports, flip_reports = verify_gradient_scaling(
+        samples, flip_rng, vf.quantized_bits, vf.bitflip_bits, vf.flip_probs, training.clip_fraction
     )
 
     payload = {

@@ -8,10 +8,10 @@ quantization error and the Fisher trace), and flipping feedback bits with
 probability p scales it further by (1 - 2p). Everything runs on a frozen
 transceiver, where the score of a sampled symbol factors through the
 constellation Jacobian: s_k = J[m_k]^T u_k with u_k = 2 w_k / sigma_p^2.
-That factorization keeps a 10^6-sample study near 30 MB, not a 12 GB score
-matrix (tracemalloc: a 9.4 MB sample set, each check at most 20.3 MB over
-it; the eval_mc benchmark process peaks near 79 MB), and a sample keeps 9
-bytes: w is replayed, not stored.
+That factorization keeps a 10^6-sample study near 40 MB, not a 12 GB score
+matrix (tracemalloc: a 9.4 MB sample set; both claims in one pass 30.4 MB
+over it, either claim alone at most 20.3 MB; the eval_mc benchmark process
+peaks near 79 MB), and a sample keeps 9 bytes: w is replayed, not stored.
 """
 
 import copy
@@ -461,11 +461,6 @@ class CodedWeight:
         return self.expand(self.codes).mean()
 
 
-def _ones_weight(n):
-    """The weight 1.0 on each of n samples, from one shared zero code."""
-    return CodedWeight(np.broadcast_to(np.uint8(0), (n,)), lambda codes: np.ones(codes.shape))
-
-
 def _level_codes(losses, cfg):
     """The q-bit level index of each loss, in the smallest unsigned dtype
     that holds 2^q - 1. cfg.reconstruct expands them to the levels."""
@@ -616,20 +611,22 @@ class ScalingReport:
     w_bar: float | None = None
 
 
-def _variance_of(moments, name, mean):
-    """V{a_k s_k} summed over coordinates, with a standard error.
+def _mean_and_variance(moments, name):
+    """The centered mean of a_k s_k (see _centered_mean), and V{a_k s_k}
+    summed over coordinates with a standard error.
 
-    Equals E[a^2 ||s||^2] - ||mean||^2 (mean passed in, centered by the
-    caller); the standard error combines the fourth-moment error of the
-    first term with the mean-norm error of the second.
+    The variance is E[a^2 ||s||^2] - ||mean||^2; the standard error
+    combines the fourth-moment error of the first term with the mean-norm
+    error of the second.
     """
+    mean = _centered_mean(moments, name)
     second = moments.gram[(name, name)]
     var = second - float(mean @ mean)
     se_second = moments.gram_se(name)
     se_mean_term = 2.0 * float(np.linalg.norm(mean)) * math.sqrt(
         max(second, 0.0) / moments.num_samples
     )
-    return var, math.sqrt(se_second**2 + se_mean_term**2)
+    return mean, var, math.sqrt(se_second**2 + se_mean_term**2)
 
 
 def _centered_mean(moments, name):
@@ -701,55 +698,6 @@ def _scaling_report(label, target, moments, test, ref, variance, **extra):
     )
 
 
-def verify_quantized_gradient_scaling(
-    sample_set, q_bits_list=(1, 3, 5), clip_fraction=DEFAULT_CLIP_FRACTION
-):
-    """Check the Bussgang scaling of the expected gradient under quantization.
-
-    Pre-processes the pooled raw losses to [0, 1], then for each bit width
-    compares the quantized-loss gradient against g_hat times the
-    unquantized-loss gradient on the same samples, and evaluates the
-    variance bound g^2 V{gamma} + (g*w_bar + w_bar^2) * tr(J). Mean
-    estimates are centered (see _centered_mean); variances are of the
-    uncentered per-sample gradients, which is what the bound speaks about.
-    The quantized losses are held as level codes (see CodedWeight).
-
-    Returns {q_bits: ScalingReport}.
-    """
-    pre = _preprocessed_losses(sample_set, clip_fraction)
-    pre_var = pre.var()
-    weights = {"ones": _ones_weight(pre.size), "perfect": pre}
-    pairs = []
-    gains = {}
-    for q in q_bits_list:
-        cfg = QuantizerConfig(q)
-        codes = _level_codes(pre, cfg)
-        weights[f"q{q}"] = CodedWeight(codes, cfg.reconstruct)
-        pairs += _report_pairs(f"q{q}", "perfect")
-        # feedback.bussgang_gain's g and w_bar, from the codes already held;
-        # the levels die with the call, so one bit width's are alive at a time
-        g = linear_gain(pre, cfg.reconstruct(codes), pre_var, overwrite_levels=True)
-        gains[q] = g, error_bound(g, cfg)
-    moments = score_moments(sample_set, weights, pairs)
-    fisher, fisher_se = _fisher_trace(moments)
-    mu_ref = _centered_mean(moments, "perfect")
-    var_ref, var_ref_se = _variance_of(moments, "perfect", mu_ref)
-    reports = {}
-    for q in q_bits_list:
-        g, w_bar = gains[q]
-        name = f"q{q}"
-        mu_q = _centered_mean(moments, name)
-        var_q, var_q_se = _variance_of(moments, name, mu_q)
-        coeff = g * w_bar + w_bar**2
-        bound = g**2 * var_ref + coeff * fisher
-        slack_se = math.sqrt(var_q_se**2 + (g**2 * var_ref_se) ** 2 + (coeff * fisher_se) ** 2)
-        reports[q] = _scaling_report(
-            f"quantized_{q}bit", g, moments, (name, mu_q), ("perfect", mu_ref),
-            (var_q, bound, slack_se), g_hat=g, w_bar=w_bar,
-        )
-    return reports
-
-
 def _mean_level(cfg, flip_draws):
     """The rule expanding a sum of flip_draws level codes to the level of
     their mean, cfg.reconstruct(sums / flip_draws) in one float64 array."""
@@ -770,53 +718,78 @@ def check_bitflip_claim(q_bits_list, flip_probs):
         raise ValueError(f"the (1 - 2p) scaling is only claimed for 1- or 2-bit quantizers; got q_bits={bad}")
 
 
-def verify_bitflip_gradient_scaling(
+def verify_gradient_scaling(
     sample_set,
-    rng,
-    q_bits_list=(1, 2),
+    flip_rng,
+    quantized_bits=(1, 3, 5),
+    bitflip_bits=(1, 2),
     flip_probs=(0.1, 0.2, 0.3),
     clip_fraction=DEFAULT_CLIP_FRACTION,
     flip_draws=8,
 ):
-    """Check the (1 - 2p) scaling under a binary symmetric feedback channel.
+    """Check both gradient-scaling claims on one sample set, in one
+    score_moments pass.
 
-    For each (q, p) the quantized bit vectors are flipped with fresh
-    randomness, dequantized, and the resulting gradient compared against
-    (1 - 2p) times the quantized-loss gradient on the same samples. The
-    mean-side estimates average flip_draws independent flip realizations
-    per sample (the expectation under test is over flip randomness too, so
-    extra draws are plain Monte Carlo, and they cut the dominant noise
-    term). For 1-bit quantization the variance bound
-    V{gamma_q} + 4p(1-p)||grad_q||^2 + p*tr(J) is evaluated as well, on a
-    single flip realization since the bound is about per-sample spread
-    (bound fields are NaN for other bit widths, where no bound is claimed).
-    Each chunk's sent codes go through channels.bsc on the caller's thread,
-    every (q, p, draw) block drawing from its own copy of rng moved to where
-    the serial loop over the blocks would start it, while a helper thread
-    folds the chunk before into the moments. rng must be a PCG64 generator,
-    and it ends where that loop leaves it. Every weight is held as level
-    codes or their sum over the draws (see CodedWeight).
+    Quantization: for each of quantized_bits, the gradient of the quantized
+    pre-processed losses against g_hat times that of the losses themselves,
+    with the variance bound g^2 V{gamma} + (g*w_bar + w_bar^2) * tr(J).
+    Bit flips: for each q of bitflip_bits and p of flip_probs, the gradient
+    of the quantized losses sent through a binary symmetric channel against
+    (1 - 2p) times that of the quantized losses. Its mean side averages
+    flip_draws independent flip realizations per sample (plain Monte Carlo
+    over the flip randomness, which cuts the dominant noise term); for
+    q = 1 the bound V{gamma_q} + 4p(1-p)||grad_q||^2 + p*tr(J) is checked
+    on one realization, since it is about per-sample spread (the bound
+    fields are NaN for q = 2). Means are centered (see _centered_mean);
+    variances are of the uncentered per-sample gradients, which is what
+    the bounds speak about.
 
-    Returns {(q_bits, p): ScalingReport}.
+    The losses are pre-processed once and each bit width's level codes are
+    built once for both claims. Every weight but the losses is held as codes
+    or their sum over the draws (see CodedWeight). The losses are a weight
+    of the quantization claim only; without it they are dropped before any
+    flip is drawn. With flips to draw, each chunk's sent codes go through channels.bsc on
+    the caller's thread, every (q, p, draw) block drawing from its own copy
+    of flip_rng moved to where a serial loop over the blocks, in bitflip_bits
+    order, would start it, while a helper thread folds the chunk before;
+    flip_rng must be a PCG64 generator, and it ends where that loop leaves
+    it. Otherwise the pass folds inline and flip_rng (None allowed) is not
+    touched.
+
+    Returns ({q_bits: ScalingReport}, {(q_bits, p): ScalingReport}).
     """
-    check_bitflip_claim(q_bits_list, flip_probs)
+    check_bitflip_claim(bitflip_bits, flip_probs)
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise ValueError(f"flip draws are addressed by PCG64 stream position; got {type(rng.bit_generator).__name__}")
-    if not (q_bits_list and flip_probs):
-        return {}
+    if flip_rng is not None and not isinstance(flip_rng.bit_generator, np.random.PCG64):
+        raise ValueError(f"flip draws are addressed by PCG64 stream position; got {type(flip_rng.bit_generator).__name__}")
+    flip_bits = bitflip_bits if flip_probs else ()
+    all_bits = list(dict.fromkeys([*quantized_bits, *flip_bits]))
+    if not all_bits:
+        return {}, {}
     pre = _preprocessed_losses(sample_set, clip_fraction)
     n = pre.size
-    sent_codes = [_level_codes(pre, QuantizerConfig(q)) for q in q_bits_list]
+    weights = {"ones": CodedWeight(np.broadcast_to(np.uint8(0), (n,)), lambda codes: np.ones(codes.shape))}
+    if quantized_bits:
+        pre_var = pre.var()
+        weights["perfect"] = pre
+    pairs, gains = [], {}
+    for q in all_bits:
+        cfg = QuantizerConfig(q)
+        codes = _level_codes(pre, cfg)
+        weights[f"q{q}"] = CodedWeight(codes, cfg.reconstruct)
+        if q in quantized_bits:
+            pairs += _report_pairs(f"q{q}", "perfect")
+            # feedback.bussgang_gain's g and w_bar, from the codes already held;
+            # the levels die with the call, so one bit width's are alive at a time
+            g = linear_gain(pre, cfg.reconstruct(codes), pre_var, overwrite_levels=True)
+            gains[q] = g, error_bound(g, cfg)
     del pre  # every flip draw starts from the sent codes
-    weights = {"ones": _ones_weight(n)}
-    pairs = []
     blocks = []  # per (q, p, draw): sent codes, q, p, the codes its draws add into, its generator
     offset = 0  # where the block's draws start in the stream: one 64-bit output per flip bit
-    for q, sent in zip(q_bits_list, sent_codes):
+    for q in flip_bits:
         cfg = QuantizerConfig(q)
-        weights[f"q{q}"] = CodedWeight(sent, cfg.reconstruct)
+        sent = weights[f"q{q}"].codes
         for p in flip_probs:
             targets = [np.zeros(n, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))]
             if q == 1:  # one flip realization, for the variance bound
@@ -828,7 +801,7 @@ def verify_bitflip_gradient_scaling(
             weights[f"e_q{q}_p{p}"] = CodedWeight(targets[0], _mean_level(cfg, flip_draws))
             pairs += _report_pairs(f"e_q{q}_p{p}", f"q{q}")
             for draw in range(flip_draws):
-                gen = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(offset))
+                gen = np.random.Generator(copy.deepcopy(flip_rng.bit_generator).advance(offset))
                 blocks.append((sent, q, p, targets if draw == 0 else targets[:1], gen))
                 offset += n * q
 
@@ -840,31 +813,54 @@ def verify_bitflip_gradient_scaling(
                     codes[sl] += received
             yield
 
-    moments = score_moments(sample_set, weights, pairs, ready=drawn())
-    kept = rng.bit_generator.state  # advance clears the buffered 32-bit half
-    rng.bit_generator.state = dict(rng.bit_generator.advance(offset).state, has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
+    moments = score_moments(sample_set, weights, pairs, ready=drawn() if blocks else None)
+    if blocks:
+        kept = flip_rng.bit_generator.state  # advance clears the buffered 32-bit half
+        flip_rng.bit_generator.state = dict(flip_rng.bit_generator.advance(offset).state, has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
     fisher, fisher_se = _fisher_trace(moments)
-    reports = {}
-    for q in q_bits_list:
-        name_q = f"q{q}"
-        mu_q = _centered_mean(moments, name_q)
+    centered = {q: _mean_and_variance(moments, f"q{q}") for q in all_bits}
+    quant_reports, flip_reports = {}, {}
+    if quantized_bits:
+        mu_ref, var_ref, var_ref_se = _mean_and_variance(moments, "perfect")
+    for q in quantized_bits:
+        g, w_bar = gains[q]
+        mu_q, var_q, var_q_se = centered[q]
+        coeff = g * w_bar + w_bar**2
+        bound = g**2 * var_ref + coeff * fisher
+        slack_se = math.sqrt(var_q_se**2 + (g**2 * var_ref_se) ** 2 + (coeff * fisher_se) ** 2)
+        quant_reports[q] = _scaling_report(
+            f"quantized_{q}bit", g, moments, (f"q{q}", mu_q), ("perfect", mu_ref),
+            (var_q, bound, slack_se), g_hat=g, w_bar=w_bar,
+        )
+    for q in flip_bits:
+        mu_q, var_q, var_q_se = centered[q]
         norm_q = float(np.linalg.norm(mu_q))
-        var_q, var_q_se = _variance_of(moments, name_q, mu_q)
         for p in flip_probs:
             name_e = f"e_q{q}_p{p}"
             if q == 1:
-                name_ev = f"ev_q{q}_p{p}"
-                var_e, var_e_se = _variance_of(moments, name_ev, _centered_mean(moments, name_ev))
+                _, var_e, var_e_se = _mean_and_variance(moments, f"ev_q{q}_p{p}")
                 bound = var_q + 4.0 * p * (1.0 - p) * norm_q**2 + p * fisher
                 slack_se = math.sqrt(var_e_se**2 + var_q_se**2 + (p * fisher_se) ** 2)
             else:
                 var_e, bound, slack_se = math.nan, math.nan, math.nan
             mu_e = _centered_mean(moments, name_e)
-            reports[(q, p)] = _scaling_report(
-                f"bitflip_q{q}_p{p}", 1.0 - 2.0 * p, moments, (name_e, mu_e), (name_q, mu_q),
+            flip_reports[(q, p)] = _scaling_report(
+                f"bitflip_q{q}_p{p}", 1.0 - 2.0 * p, moments, (name_e, mu_e), (f"q{q}", mu_q),
                 (var_e, bound, slack_se),
             )
-    return reports
+    return quant_reports, flip_reports
+
+
+def verify_quantized_gradient_scaling(sample_set, q_bits_list=(1, 3, 5), clip_fraction=DEFAULT_CLIP_FRACTION):
+    """The quantization claim alone: verify_gradient_scaling's {q_bits: ScalingReport}."""
+    return verify_gradient_scaling(sample_set, None, q_bits_list, (), (), clip_fraction)[0]
+
+
+def verify_bitflip_gradient_scaling(
+    sample_set, rng, q_bits_list=(1, 2), flip_probs=(0.1, 0.2, 0.3), clip_fraction=DEFAULT_CLIP_FRACTION, flip_draws=8
+):
+    """The bit-flip claim alone: verify_gradient_scaling's {(q_bits, p): ScalingReport}."""
+    return verify_gradient_scaling(sample_set, rng, (), q_bits_list, flip_probs, clip_fraction, flip_draws)[1]
 
 
 def convergence_iteration(metrics, window=20, level_fraction=0.05):

@@ -18,6 +18,7 @@ from qflearn.evaluation import (
     collect_score_samples,
     convergence_iteration,
     estimate_ser,
+    verify_gradient_scaling,
 )
 from qflearn.feedback import QuantizerConfig
 from qflearn.training import PHASE_TX, TrainingConfig, TrainState, advance, train
@@ -196,3 +197,11 @@ def verify_samples(awgn_desk_perfect):
     snapshot = awgn_desk_perfect.snapshot
     rng = rngstreams.substream(AWGN_DESK_SEED, rngstreams.VERIFY)
     return collect_score_samples(snapshot.tx, snapshot.rx, AWGN_DESK, 16, 1_000_000, rng)
+
+
+@pytest.fixture(scope="session")
+def verify_reports(verify_samples):
+    """Both gradient-scaling claims on the shared samples, from the one pass
+    `qflearn verify` runs, with the default bit widths and flip
+    probabilities: ({q: report}, {(q, p): report})."""
+    return verify_gradient_scaling(verify_samples, rngstreams.substream(AWGN_DESK_SEED, rngstreams.VERIFY, 1))

@@ -38,8 +38,6 @@ from qflearn.evaluation import (
     qam16_ser_closed_form,
     score_coordinate_std,
     score_moments,
-    verify_bitflip_gradient_scaling,
-    verify_quantized_gradient_scaling,
 )
 from qflearn.feedback import (
     BASELINE,
@@ -177,8 +175,8 @@ def test_criterion_04_bussgang_closed_form():
     assert worst < 0.02
 
 
-def test_criterion_05_quantized_gradient_scaling(verify_samples):
-    reports = verify_quantized_gradient_scaling(verify_samples, (1, 3, 5))
+def test_criterion_05_quantized_gradient_scaling(verify_reports):
+    reports = verify_reports[0]
     checks = []
     for q, rep in sorted(reports.items()):
         cos_ok = rep.cosine > 0.99
@@ -195,9 +193,8 @@ def test_criterion_05_quantized_gradient_scaling(verify_samples):
         assert ok, (q, rep.cosine, rep.magnitude_ratio, rep.g_hat, rep.var_test, rep.var_bound)
 
 
-def test_criterion_06_bitflip_gradient_scaling(verify_samples):
-    rng = rngstreams.substream(AWGN_DESK_SEED, rngstreams.VERIFY, 1)
-    reports = verify_bitflip_gradient_scaling(verify_samples, rng)
+def test_criterion_06_bitflip_gradient_scaling(verify_reports):
+    reports = verify_reports[1]
     worst_fit = 0.0
     var_ok = True
     for (q, p), rep in sorted(reports.items()):

@@ -596,6 +596,31 @@ def test_verify_trains_only_to_the_snapshot(tmp_path, monkeypatch):
     assert json.loads((out / "verify_report.json").read_text())["snapshot_iter"] == 2
 
 
+def test_verify_runs_one_moments_pass(tmp_path, monkeypatch):
+    """Both claims come from one score_moments pass, which replays each
+    collection chunk's exploration noise once. Only the replay reaches
+    evaluation.exploration_noise: the collection draws through perturb."""
+    calls = {"moments": 0, "noise": []}
+    moments, noise = qflearn.evaluation.score_moments, qflearn.evaluation.exploration_noise
+
+    def counted_moments(*args, **kwargs):
+        calls["moments"] += 1
+        return moments(*args, **kwargs)
+
+    def counted_noise(shape, sigma_p_sq, rng):
+        calls["noise"].append(shape)
+        return noise(shape, sigma_p_sq, rng)
+
+    monkeypatch.setattr(qflearn.evaluation, "score_moments", counted_moments)
+    monkeypatch.setattr(qflearn.evaluation, "exploration_noise", counted_noise)
+    cfg = base_config(
+        tmp_path / "out",
+        verify={"num_samples": 70_000, "quantized_bits": [1, 3], "bitflip_bits": [1, 2], "flip_probs": [0.1], "snapshot_iter": 1},
+    )
+    assert main(["verify", write_config(tmp_path, cfg)]) in (0, 1)
+    assert calls == {"moments": 1, "noise": [(65_536, 2), (4_464, 2)]}
+
+
 def test_verify_report_smoke(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(
