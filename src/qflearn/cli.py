@@ -23,7 +23,7 @@ from .channels import AWGN, BscConfig, ChannelConfig
 from .evaluation import (
     ExactAwgnDetector,
     SampledNlpnDetector,
-    check_bitflip_claim,
+    check_verify_claims,
     check_grid,
     collect_score_samples,
     decision_regions,
@@ -86,12 +86,7 @@ class VerifyConfig:
 
     def __post_init__(self):
         check_counts(self, "num_samples")
-        for q in self.quantized_bits:
-            QuantizerConfig(q)
-        check_bitflip_claim(self.bitflip_bits, self.flip_probs)
-        for key in ("quantized_bits", "bitflip_bits", "flip_probs"):
-            if len(set(values := getattr(self, key))) < len(values):
-                raise ValueError(f"{key} repeats a value: {values}")
+        check_verify_claims(self.quantized_bits, self.bitflip_bits, self.flip_probs)
         if not (self.quantized_bits or self.bitflip_bits and self.flip_probs):
             raise ValueError("no check to run: quantized_bits is empty, and so is bitflip_bits or flip_probs")
 

@@ -8,10 +8,12 @@ quantization error and the Fisher trace), and flipping feedback bits with
 probability p scales it further by (1 - 2p). Everything runs on a frozen
 transceiver, where the score of a sampled symbol factors through the
 constellation Jacobian: s_k = J[m_k]^T u_k with u_k = 2 w_k / sigma_p^2.
-That factorization keeps a 10^6-sample study near 40 MB, not a 12 GB score
-matrix (tracemalloc: a 9.4 MB sample set; both claims in one pass 30.4 MB
-over it, either claim alone at most 20.3 MB; the eval_mc benchmark process
-peaks near 79 MB), and a sample keeps 9 bytes: w is replayed, not stored.
+That factorization keeps a 10^6-sample study near 20 MB, not a 12 GB score
+matrix (tracemalloc: a 9.4 MB sample set; both claims in one pass 9.7 MB
+over it, either claim alone 8.0 MB, nearly all of it the sorted copy that
+takes the pre-processing bounds; the eval_mc benchmark process peaks near
+69 MB), and a sample keeps 9 bytes: w is replayed, not stored. No weight
+is held at full length: the checks make their weights chunk by chunk.
 """
 
 import copy
@@ -26,9 +28,10 @@ from .feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
     error_bound,
+    gain_of_means,
     level_indices,
-    linear_gain,
-    preprocess,
+    preprocess_bounds,
+    rescale,
 )
 from .neuralnet import _forward
 from .transceiver import (
@@ -207,7 +210,8 @@ class SampledNlpnDetector:
         edges = np.linspace(-half, half, bins + 1)
         log_density = np.empty((len(ring_radii), bins, bins))
         for k, radius in enumerate(ring_radii):
-            y = propagate(np.full(draws_per_point, radius, dtype=np.complex128), channel_cfg, rng)
+            # The ring's one radius, broadcast: propagate copies it into its own buffer.
+            y = propagate(np.broadcast_to(np.complex128(radius), (draws_per_point,)), channel_cfg, rng)
             counts, _, _ = np.histogram2d(y.real, y.imag, bins=(edges, edges))
             log_density[k] = np.log(counts + 1.0)  # add-one smoothing
         return cls(points, ring_of, log_density, edges)
@@ -437,37 +441,81 @@ def collect_score_samples(tx, rx, channel_cfg, num_messages, num_samples, rng):
     )
 
 
+# NumPy sums a contiguous float64 vector pairwise (pairwise_sum in its
+# loops_utils.h.src): a block of at most this many values in one unrolled
+# leaf, a longer one as the sum of its first n/2 values, rounded down to a
+# multiple of 8, and the rest.
+_PAIRWISE_LEAF = 128
+
+
+class PairwiseSum:
+    """np.add.reduce of a float64 vector of total values given in
+    consecutive chunks, with the bits of one reduction over the whole
+    vector: NumPy's pairwise tree replayed over the chunks. A node inside
+    one chunk is one reduction of its slice, a node across a chunk boundary
+    adds its two halves once both are in, and a leaf across one keeps its
+    values until its last arrives. Holds a few hundred values at most."""
+
+    def __init__(self, total):
+        self.total, self.seen, self.sum = total, 0, 0.0
+        self._done = {}  # (start, size): the sum of a half whose other half is not in yet
+        self._leaf = []  # the parts so far of a leaf across a chunk boundary
+
+    def add(self, values):
+        if len(values):
+            root = self._node(0, self.total, values, self.seen)
+            self.seen += len(values)
+            if root is not None:
+                self.sum = 0.0 + root  # the reduction starts from add's identity
+
+    def mean(self):
+        """np.mean of the whole vector, once every value is in."""
+        return self.sum / self.total
+
+    def _node(self, start, size, values, offset):
+        """The sum of values [start, start + size) of the vector once its
+        last value is in; values holds [offset, offset + len(values))."""
+        end, stop = start + size, offset + len(values)
+        if end <= offset:
+            return self._done.pop((start, size))
+        if start >= stop:
+            return None
+        if offset <= start and end <= stop:
+            return np.add.reduce(values[start - offset : end - offset])
+        if size <= _PAIRWISE_LEAF:
+            self._leaf.append(values[max(start - offset, 0) : end - offset].copy())
+            if end > stop:
+                return None
+            parts, self._leaf = self._leaf, []
+            return np.add.reduce(np.concatenate(parts))
+        half = size // 2 - size // 2 % 8
+        left = self._node(start, half, values, offset)
+        right = self._node(start + half, size - half, values, offset)
+        if right is None:
+            if left is not None:
+                self._done[(start, half)] = left
+            return None
+        return left + right
+
+
 @dataclass(frozen=True)
 class CodedWeight:
-    """A per-sample weight held as one unsigned code per sample, in the
-    smallest dtype that holds the largest code, plus the elementwise rule
-    that expands codes to the float64 weights.
-
-    It answers the shape, slicing and mean() a float64 weight vector
-    answers, with the same bits: a slice expands only its own codes.
-    """
+    """A chunk's per-sample weight held as one unsigned code per sample, in
+    the smallest dtype that holds the largest code, plus the elementwise
+    rule that expands codes to the float64 weights. weight[:] expands it,
+    as it reads a float64 weight vector."""
 
     codes: np.ndarray
     expand: Callable
 
-    @property
-    def shape(self):
-        return self.codes.shape
-
     def __getitem__(self, index):
         return self.expand(self.codes[index])
-
-    def mean(self):
-        return self.expand(self.codes).mean()
 
 
 def _level_codes(losses, cfg):
     """The q-bit level index of each loss, in the smallest unsigned dtype
     that holds 2^q - 1. cfg.reconstruct expands them to the levels."""
-    codes = np.empty(losses.shape, dtype=np.min_scalar_type(cfg.num_levels - 1))
-    for sl in _chunks(losses.size):  # no full-length float64 or int64 index copy
-        codes[sl] = level_indices(losses[sl], cfg)
-    return codes
+    return level_indices(losses, cfg).astype(np.min_scalar_type(cfg.num_levels - 1))
 
 
 @dataclass
@@ -505,34 +553,42 @@ def _pair_key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, ready=None):
+def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, behind=False):
     """One chunked pass over the samples computing the weighted moments.
 
-    weights maps names to float64 vectors or CodedWeights, whose chunks are
-    expanded where they are used. Every weight gets its mean vector, its
-    mean and its diagonal gram entry with that entry's fourth moment; pairs
-    lists the (a, b) name pairs whose gram entries are accumulated as well.
-    Mean vectors are accumulated per message as sum_k a_k u_k and contracted
-    with the Jacobian once at the end, so no (N, P) score matrix ever exists.
-    Given ready, which yields once per chunk when that chunk's weights are
-    final, the chunks are folded on a helper thread (channels._fold_behind)
-    while ready makes the next chunk's weights on the caller's thread.
+    weights maps names to float64 vectors over all the samples, or yields,
+    chunk after chunk, one map of the same names to that chunk's weights,
+    float64 vectors or CodedWeights, which are expanded where they are
+    used. Every weight gets its mean vector, its mean (a PairwiseSum, with
+    the bits of the whole vector's mean) and its diagonal gram entry with
+    that entry's fourth moment; pairs lists the (a, b) name pairs whose
+    gram entries are accumulated as well. Mean vectors are accumulated per
+    message as sum_k a_k u_k and contracted with the Jacobian once at the
+    end, so no (N, P) score matrix ever exists. With behind, the chunks are
+    folded on a helper thread (channels._fold_behind) while the caller
+    makes the next chunk's weights.
     """
-    names = list(weights)
     n = sample_set.num_samples
-    for name in names:
-        if weights[name].shape != (n,):
-            raise ValueError(f"weight vector {name!r} has wrong shape")
+    if isinstance(weights, dict):
+        vectors = weights
+        for name, w in vectors.items():
+            if w.shape != (n,):
+                raise ValueError(f"weight vector {name!r} has wrong shape")
+        weights = ({name: w[sl] for name, w in vectors.items()} for sl in _chunks(n, chunk))
     pairs = list(dict.fromkeys(_pair_key(a, b) for a, b in pairs if a != b))
     num_messages = sample_set.jac.shape[0]
-    acc_u = {name: np.zeros((num_messages, 2)) for name in names}
-    acc_gram = dict.fromkeys([(name, name) for name in names] + pairs, 0.0)
-    acc_fourth = dict.fromkeys(names, 0.0)
+    acc_u, acc_sum, acc_fourth = {}, {}, {}  # filled with the first chunk's names
+    acc_gram = dict.fromkeys(pairs, 0.0)
     gram = _gram_blocks(sample_set.jac)
     acc_bins = np.arange(num_messages)
     u_rows = np.empty((2, min(n, chunk)))  # every chunk's u
 
-    def fold(sl):
+    def fold(item):
+        sl, chunk_weights = item
+        if not acc_u:
+            for name in chunk_weights:
+                acc_u[name], acc_sum[name] = np.zeros((num_messages, 2)), PairwiseSum(n)
+                acc_gram[(name, name)] = acc_fourth[name] = 0.0
         m, noise = sample_set.messages[sl], sample_set.perturbations[sl]
         u = u_rows[:, : len(m)].T  # (n, 2) with contiguous columns
         for c in range(2):
@@ -540,14 +596,15 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, ready=None
         del noise  # a replayed chunk dies before the chunk's other temporaries
         norms_sq = _score_norms_sq(gram, m, u)
         for a, b in pairs:  # before the bincount buffers exist
-            acc_gram[(a, b)] += float((weights[a][sl] * weights[b][sl] * norms_sq).sum())
+            acc_gram[(a, b)] += float((chunk_weights[a][:] * chunk_weights[b][:] * norms_sq).sum())
         # One bincount per component adds the accumulator and then each
         # sample's term in sample order, the same sums in the same order as
         # np.add.at; values holds the accumulator, then the terms.
         bins = np.concatenate([acc_bins, m])
         values = np.empty(bins.size)
-        for name in names:
-            w = weights[name][sl]
+        for name, weight in chunk_weights.items():
+            w = weight[:]
+            acc_sum[name].add(w)
             for c in range(2):
                 values[:num_messages] = acc_u[name][:, c]
                 np.multiply(w, u[:, c], out=values[num_messages:])
@@ -556,14 +613,15 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, ready=None
             acc_gram[(name, name)] += float(prod.sum())
             acc_fourth[name] += float(np.square(prod, out=prod).sum())
 
-    if ready is None:
-        for sl in _chunks(n, chunk):
-            fold(sl)
+    items = zip(_chunks(n, chunk), weights)
+    if behind:
+        _fold_behind(fold, items)
     else:
-        _fold_behind(fold, (sl for sl, _ in zip(_chunks(n, chunk), ready)))
+        for item in items:
+            fold(item)
     return ScoreMoments(
-        means={name: np.einsum("mc,mcp->p", acc_u[name], sample_set.jac) / n for name in names},
-        weight_means={name: float(weights[name].mean()) for name in names},
+        means={name: np.einsum("mc,mcp->p", acc, sample_set.jac) / n for name, acc in acc_u.items()},
+        weight_means={name: float(acc.mean()) for name, acc in acc_sum.items()},
         gram={key: val / n for key, val in acc_gram.items()},
         fourth={name: val / n for name, val in acc_fourth.items()},
         num_samples=n,
@@ -641,12 +699,15 @@ def _centered_mean(moments, name):
     return moments.means[name] - moments.weight_means[name] * moments.means["ones"]
 
 
-def _preprocessed_losses(sample_set, clip_fraction):
-    """The pooled raw losses pre-processed to [0, 1] as in training."""
-    pre, stats = preprocess(sample_set.raw_losses, clip_fraction)
-    if stats.degenerate:
+def _loss_preprocessor(sample_set, clip_fraction):
+    """The rule that pre-processes a slice of the pooled raw losses to
+    [0, 1] as training pre-processes a batch: preprocess's bounds, taken
+    once over all the losses, and its elementwise transform."""
+    raw = sample_set.raw_losses
+    l_min, l_max, degenerate = preprocess_bounds(raw, clip_fraction)
+    if degenerate:
         raise ValueError("degenerate loss batch: zero range after clipping")
-    return pre
+    return lambda sl: rescale(raw[sl], l_min, l_max)
 
 
 def _fisher_trace(moments):
@@ -709,13 +770,19 @@ def _mean_level(cfg, flip_draws):
     return expand
 
 
-def check_bitflip_claim(q_bits_list, flip_probs):
-    """Raise ValueError unless every p is a BscConfig flip probability and
-    every q a bit width the (1 - 2p) scaling is claimed for."""
+def check_verify_claims(quantized_bits, bitflip_bits, flip_probs):
+    """Raise ValueError unless every quantized width is a QuantizerConfig
+    width, every p a BscConfig flip probability, every flipped width one
+    the (1 - 2p) scaling is claimed for, and no list repeats a value."""
+    for q in quantized_bits:
+        QuantizerConfig(q)
     for p in flip_probs:
         BscConfig(p)
-    if bad := [q for q in q_bits_list if q not in (1, 2)]:
+    if bad := [q for q in bitflip_bits if q not in (1, 2)]:
         raise ValueError(f"the (1 - 2p) scaling is only claimed for 1- or 2-bit quantizers; got q_bits={bad}")
+    for key, values in (("quantized_bits", quantized_bits), ("bitflip_bits", bitflip_bits), ("flip_probs", flip_probs)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{key} repeats a value: {values}")
 
 
 def verify_gradient_scaling(
@@ -744,86 +811,98 @@ def verify_gradient_scaling(
     variances are of the uncentered per-sample gradients, which is what
     the bounds speak about.
 
-    The losses are pre-processed once and each bit width's level codes are
-    built once for both claims. Every weight but the losses is held as codes
-    or their sum over the draws (see CodedWeight). The losses are a weight
-    of the quantization claim only; without it they are dropped before any
-    flip is drawn. With flips to draw, each chunk's sent codes go through channels.bsc on
-    the caller's thread, every (q, p, draw) block drawing from its own copy
-    of flip_rng moved to where a serial loop over the blocks, in bitflip_bits
-    order, would start it, while a helper thread folds the chunk before;
-    flip_rng must be a PCG64 generator, and it ends where that loop leaves
-    it. Otherwise the pass folds inline and flip_rng (None allowed) is not
-    touched.
+    The weights are made chunk by chunk on the caller's thread: the
+    chunk's losses pre-processed with bounds taken once over all of them,
+    each bit width's level codes, and the flipped codes summed over the
+    draws (see CodedWeight). The losses are a weight of the quantization
+    claim only. Every mean the reports read is a PairwiseSum over the
+    chunks, with the bits of a mean over the whole vector, and the losses'
+    variance takes a second pass. With flips to draw, each chunk's sent
+    codes go through channels.bsc, every (q, p, draw) block drawing from
+    its own copy of flip_rng moved to where a serial loop over the blocks,
+    in bitflip_bits order, would start it, while a helper thread folds the
+    chunk before; flip_rng must then be a PCG64 generator, and it ends
+    where that loop leaves it. Otherwise the pass folds inline and
+    flip_rng (None allowed) is not touched.
 
     Returns ({q_bits: ScalingReport}, {(q_bits, p): ScalingReport}).
     """
-    check_bitflip_claim(bitflip_bits, flip_probs)
+    check_verify_claims(quantized_bits, bitflip_bits, flip_probs)
     if flip_draws < 1:
         raise ValueError("flip_draws must be >= 1")
-    if flip_rng is not None and not isinstance(flip_rng.bit_generator, np.random.PCG64):
-        raise ValueError(f"flip draws are addressed by PCG64 stream position; got {type(flip_rng.bit_generator).__name__}")
     flip_bits = bitflip_bits if flip_probs else ()
-    all_bits = list(dict.fromkeys([*quantized_bits, *flip_bits]))
-    if not all_bits:
+    if flip_bits and not isinstance(bit_generator := getattr(flip_rng, "bit_generator", None), np.random.PCG64):
+        raise ValueError(
+            "flip draws are addressed by stream position: flip_rng must be a PCG64 generator; "
+            f"got {type(bit_generator or flip_rng).__name__}"
+        )
+    cfgs = {q: QuantizerConfig(q) for q in dict.fromkeys([*quantized_bits, *flip_bits])}
+    if not cfgs:
         return {}, {}
-    pre = _preprocessed_losses(sample_set, clip_fraction)
-    n = pre.size
-    weights = {"ones": CodedWeight(np.broadcast_to(np.uint8(0), (n,)), lambda codes: np.ones(codes.shape))}
-    if quantized_bits:
-        pre_var = pre.var()
-        weights["perfect"] = pre
-    pairs, gains = [], {}
-    for q in all_bits:
-        cfg = QuantizerConfig(q)
-        codes = _level_codes(pre, cfg)
-        weights[f"q{q}"] = CodedWeight(codes, cfg.reconstruct)
-        if q in quantized_bits:
-            pairs += _report_pairs(f"q{q}", "perfect")
-            # feedback.bussgang_gain's g and w_bar, from the codes already held;
-            # the levels die with the call, so one bit width's are alive at a time
-            g = linear_gain(pre, cfg.reconstruct(codes), pre_var, overwrite_levels=True)
-            gains[q] = g, error_bound(g, cfg)
-    del pre  # every flip draw starts from the sent codes
-    blocks = []  # per (q, p, draw): sent codes, q, p, the codes its draws add into, its generator
-    offset = 0  # where the block's draws start in the stream: one 64-bit output per flip bit
+    preprocessed = _loss_preprocessor(sample_set, clip_fraction)
+    n = sample_set.num_samples
+    pairs, products = [], {}  # products: the streamed sum of losses times levels, per quantized width
+    for q in quantized_bits:
+        pairs += _report_pairs(f"q{q}", "perfect")
+        products[q] = PairwiseSum(n)
+    flips = {}  # per (q, p): each draw's generator
+    offset = 0  # where a block's draws start in the stream: one 64-bit output per flip bit
     for q in flip_bits:
-        cfg = QuantizerConfig(q)
-        sent = weights[f"q{q}"].codes
         for p in flip_probs:
-            targets = [np.zeros(n, dtype=np.min_scalar_type(flip_draws * (cfg.num_levels - 1)))]
-            if q == 1:  # one flip realization, for the variance bound
-                targets.append(np.zeros_like(sent))
-                weights[f"ev_q{q}_p{p}"] = CodedWeight(targets[1], cfg.reconstruct)
-            # The level of the mean index is the mean of the levels. The
-            # levels are dyadic, so for a power-of-two flip_draws it carries
-            # the bits of summing the dequantized draws.
-            weights[f"e_q{q}_p{p}"] = CodedWeight(targets[0], _mean_level(cfg, flip_draws))
             pairs += _report_pairs(f"e_q{q}_p{p}", f"q{q}")
-            for draw in range(flip_draws):
-                gen = np.random.Generator(copy.deepcopy(flip_rng.bit_generator).advance(offset))
-                blocks.append((sent, q, p, targets if draw == 0 else targets[:1], gen))
-                offset += n * q
+            flips[(q, p)] = [
+                np.random.Generator(copy.deepcopy(flip_rng.bit_generator).advance(offset + draw * n * q))
+                for draw in range(flip_draws)
+            ]
+            offset += flip_draws * n * q
+    # The level of the mean index is the mean of the levels. The levels are
+    # dyadic, so for a power-of-two flip_draws it carries the bits of
+    # summing the dequantized draws.
+    mean_levels = {q: _mean_level(cfgs[q], flip_draws) for q in flip_bits}
 
-    def drawn():
-        for sl in _chunks(n):
-            for sent, q, p, targets, gen in blocks:
-                received = bsc(sent[sl], q, p, gen)
-                for codes in targets:
-                    codes[sl] += received
-            yield
+    def chunk_weights(sl):
+        """The chunk's weights; its temporaries die before the next chunk's are made."""
+        pre = preprocessed(sl)
+        weights = {"ones": CodedWeight(np.broadcast_to(np.uint8(0), pre.shape), lambda codes: np.ones(codes.shape))}
+        if quantized_bits:
+            weights["perfect"] = pre
+        for q, cfg in cfgs.items():
+            codes = _level_codes(pre, cfg)
+            weights[f"q{q}"] = CodedWeight(codes, cfg.reconstruct)
+            if q in products:  # feedback.linear_gain's product mean
+                levels = cfg.reconstruct(codes)
+                products[q].add(np.multiply(pre, levels, out=levels))
+                del levels  # before the next width's are made
+        del pre  # the flips need only the sent codes
+        for (q, p), gens in flips.items():
+            sent = weights[f"q{q}"].codes
+            draws = np.zeros(sent.shape, dtype=np.min_scalar_type(flip_draws * (cfgs[q].num_levels - 1)))
+            for draw, gen in enumerate(gens):
+                received = bsc(sent, q, p, gen)
+                draws += received
+                if q == 1 and draw == 0:  # one flip realization, for the variance bound
+                    weights[f"ev_q{q}_p{p}"] = CodedWeight(received, cfgs[q].reconstruct)
+            weights[f"e_q{q}_p{p}"] = CodedWeight(draws, mean_levels[q])
+        return weights
 
-    moments = score_moments(sample_set, weights, pairs, ready=drawn() if blocks else None)
-    if blocks:
+    moments = score_moments(sample_set, map(chunk_weights, _chunks(n)), pairs, behind=bool(flips))
+    if flips:
         kept = flip_rng.bit_generator.state  # advance clears the buffered 32-bit half
         flip_rng.bit_generator.state = dict(flip_rng.bit_generator.advance(offset).state, has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
     fisher, fisher_se = _fisher_trace(moments)
-    centered = {q: _mean_and_variance(moments, f"q{q}") for q in all_bits}
+    centered = {q: _mean_and_variance(moments, f"q{q}") for q in cfgs}
     quant_reports, flip_reports = {}, {}
     if quantized_bits:
         mu_ref, var_ref, var_ref_se = _mean_and_variance(moments, "perfect")
+        pre_mean = moments.weight_means["perfect"]
+        squares = PairwiseSum(n)  # np.var's second pass: the squared deviations from the mean
+        for sl in _chunks(n):
+            deviations = preprocessed(sl) - pre_mean
+            squares.add(np.multiply(deviations, deviations, out=deviations))
+        pre_var = squares.mean()
     for q in quantized_bits:
-        g, w_bar = gains[q]
+        g = gain_of_means(pre_mean, moments.weight_means[f"q{q}"], products[q].mean(), pre_var)
+        w_bar = error_bound(g, cfgs[q])
         mu_q, var_q, var_q_se = centered[q]
         coeff = g * w_bar + w_bar**2
         bound = g**2 * var_ref + coeff * fisher

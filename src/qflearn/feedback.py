@@ -90,6 +90,30 @@ def losses_to_clip(n, clip_fraction):
     return min(math.ceil(clip_fraction * n), n - 1)
 
 
+def preprocess_bounds(raw, clip_fraction=DEFAULT_CLIP_FRACTION):
+    """preprocess's order statistics of a loss batch: (l_min, l_max,
+    degenerate), the smallest loss, the largest one left unclipped, and
+    whether the clipped range is zero."""
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.size == 0:
+        raise ValueError("empty loss batch")
+    if not 0.0 <= clip_fraction < 1.0:
+        raise ValueError("clip_fraction must lie in [0, 1)")
+    n = raw.size
+    l_min, l_max = np.sort(raw)[[0, n - 1 - losses_to_clip(n, clip_fraction)]].tolist()  # the sorted copy dies here
+    return l_min, l_max, l_max <= l_min
+
+
+def rescale(raw, l_min, l_max):
+    """preprocess's elementwise transform of a non-degenerate batch's bounds:
+    each loss clipped to l_max, shifted by l_min and scaled by the range, in
+    one new array."""
+    transformed = np.minimum(raw, l_max)
+    transformed -= l_min
+    transformed /= l_max - l_min
+    return transformed
+
+
 def preprocess(raw, clip_fraction=DEFAULT_CLIP_FRACTION):
     """Clip the top ceil(clip_fraction*B) losses, shift by the min, scale to [0, 1].
 
@@ -99,20 +123,9 @@ def preprocess(raw, clip_fraction=DEFAULT_CLIP_FRACTION):
     score mean and therefore vanishes in expectation.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.size == 0:
-        raise ValueError("empty loss batch")
-    if not 0.0 <= clip_fraction < 1.0:
-        raise ValueError("clip_fraction must lie in [0, 1)")
-    n = raw.size
-    l_min, l_max = np.sort(raw)[[0, n - 1 - losses_to_clip(n, clip_fraction)]].tolist()  # the sorted copy dies here
-    clip_count = int(np.count_nonzero(raw > l_max))
-    if l_max <= l_min:
-        stats = PreprocessStats(l_min, l_max, clip_count, degenerate=True)
-        return np.zeros_like(raw), stats
-    transformed = np.minimum(raw, l_max)
-    transformed -= l_min
-    transformed /= l_max - l_min
-    return transformed, PreprocessStats(l_min, l_max, clip_count)
+    l_min, l_max, degenerate = preprocess_bounds(raw, clip_fraction)
+    stats = PreprocessStats(l_min, l_max, int(np.count_nonzero(raw > l_max)), degenerate)
+    return (np.zeros_like(raw) if degenerate else rescale(raw, l_min, l_max)), stats
 
 
 def level_indices(l, cfg):
@@ -186,13 +199,15 @@ def distortion(losses, cfg):
     return float(np.mean(err * err))
 
 
-def linear_gain(losses, levels, var, overwrite_levels=False):
+def linear_gain(losses, levels, var):
     """The Bussgang gain g = Cov(l, Q(l)) / Var(l) of losses l and their
-    quantized values levels = Q(l), given var = Var(l) > 0. With
-    overwrite_levels the product l * Q(l) goes into levels, same bits."""
-    level_mean = np.mean(levels)
-    product = np.multiply(losses, levels, out=levels if overwrite_levels else None)
-    return float((np.mean(product) - losses.mean() * level_mean) / var)
+    quantized values levels = Q(l), given var = Var(l) > 0."""
+    return gain_of_means(losses.mean(), np.mean(levels), np.mean(losses * levels), var)
+
+
+def gain_of_means(loss_mean, level_mean, product_mean, var):
+    """The Bussgang gain from the means of l, Q(l) and l * Q(l) and Var(l) > 0."""
+    return float((product_mean - loss_mean * level_mean) / var)
 
 
 def error_bound(g, cfg):

@@ -18,6 +18,7 @@ from qflearn.channels import AWGN, NLPN, ChannelConfig, _blas_threads, bsc, prop
 from qflearn.cli import write_decision_regions_csv
 from qflearn.evaluation import (
     ExactAwgnDetector,
+    PairwiseSum,
     ReceiverDetector,
     SampledNlpnDetector,
     ScoreSampleSet,
@@ -237,6 +238,19 @@ def test_sampled_nlpn_detector_point_at_origin():
 def test_sampled_nlpn_detector_fit_rejects_bad_arguments(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SampledNlpnDetector.fit(qam16(NLPN_SMALL.P_mw), NLPN_SMALL, np.random.default_rng(0), **kwargs)
+
+
+def test_sampled_nlpn_detector_fit_draws_from_a_broadcast_radius(monkeypatch):
+    """A ring's 10^5 draws start from its radius broadcast, not repeated in
+    a 1.6 MB array: the fit peaks at 10.7 MB (tracemalloc), 12.3 MB from
+    the array, with the same tables. The bound leaves 0.8 MB of margin."""
+    points = qam16(NLPN_SMALL.P_mw)
+    fitted = []
+    peak = traced_peak(lambda: fitted.append(SampledNlpnDetector.fit(points, NLPN_SMALL, np.random.default_rng(3))))
+    assert peak < 11.5e6
+    monkeypatch.setattr(evaluation, "propagate", lambda x, cfg, rng: propagate(np.array(x), cfg, rng))
+    repeated = SampledNlpnDetector.fit(points, NLPN_SMALL, np.random.default_rng(3))
+    assert fitted[0].log_density.tobytes() == repeated.log_density.tobytes()
 
 
 def test_sampled_nlpn_detector_cell_matches_searchsorted():
@@ -604,40 +618,54 @@ def test_verify_bitflip_holds_weights_as_level_codes(verify_samples):
     thread while a helper folds the chunk before, a draw's temporaries
     (1.2 MB at q = 2) can coincide with the fold's: 8.2-8.3 MB. With the
     fold's pair entries taken before its bincount buffers exist it peaks
-    at 7.6-7.8 MB over 20 runs, also beside a busy process. The bound
-    leaves 0.72 MB of margin."""
+    at 7.6-7.8 MB over 20 runs, also beside a busy process. Made chunk by
+    chunk, the weights of the chunk folded and of the chunk drawn are all
+    it holds, and it peaks at 7.56-7.76 MB over 20 runs; weights made in
+    one generator frame, which kept the last chunk's losses and levels
+    alive, read 8.3 MB. The bound leaves 0.74 MB of margin."""
     peak = traced_peak(lambda: verify_bitflip_gradient_scaling(verify_samples, np.random.default_rng(13)))
     assert peak < 8.5e6
 
 
-def test_verify_quantized_holds_two_full_length_temporaries():
-    """At 10^6 samples the quantized check peaks while it takes a gain: the
-    pre-processed losses and one bit width's levels, multiplied by the
-    losses in place (8 MB each), beside the level codes (1 MB per width),
-    20.0 MB in all (tracemalloc). A separate product of levels and losses
-    read 27.0 MB. The bound leaves 2 MB of margin."""
+def test_verify_quantized_holds_one_full_length_sort():
+    """At 10^6 samples the quantized check peaks in the order statistics of
+    the pre-processing, whose sorted copy of the raw losses takes 8 MB:
+    8.004 MB (tracemalloc). It read 20.0 MB while it held the pre-processed
+    losses, their level codes and one bit width's levels at full length,
+    and 27.0 MB with a separate product of levels and losses. The bound
+    leaves 1 MB of margin."""
     samples = random_samples(16, np.uint8, 1_000_000, seed=3)
-    assert traced_peak(lambda: verify_quantized_gradient_scaling(samples)) < 22e6
+    assert traced_peak(lambda: verify_quantized_gradient_scaling(samples)) < 9e6
 
 
 def test_verify_quantized_moments_hold_no_gram_gather(verify_samples):
     """At 200,000 samples the quantized check peaks in a chunk of
-    score_moments, beside the pre-processed losses and level codes: 6.5 MB
-    (tracemalloc), 7.5 MB before the pair entries were taken ahead of the
-    bincount buffers. It read 10.2 MB before the per-component kernels;
-    with them, the einsum over an (n, 2, 2) Gram gather reads 8.6 MB and
-    gathering all four coefficients at once 9.0 MB. The bound leaves
-    2.0 MB of margin."""
-    assert traced_peak(lambda: verify_quantized_gradient_scaling(verify_samples)) < 8.5e6
+    score_moments: 5.73 MB (tracemalloc), 6.5 MB beside the full-length
+    pre-processed losses and level codes, 7.5 MB before the pair entries
+    were taken ahead of the bincount buffers. It read 10.2 MB before the
+    per-component kernels; with them, the einsum over an (n, 2, 2) Gram
+    gather reads 8.6 MB and gathering all four coefficients at once
+    9.0 MB. The bound leaves 2.0 MB of margin."""
+    assert traced_peak(lambda: verify_quantized_gradient_scaling(verify_samples)) < 7.7e6
 
 
 def test_verify_both_claims_hold_the_losses_beside_the_flips(verify_samples):
-    """Both claims in one pass at 200,000 samples peak at 9.71-9.79 MB
-    (tracemalloc, 20 runs): the bit-flip check's 7.8 MB plus the
-    pre-processed losses (1.6 MB), which the quantization claim holds as a
-    weight while the flips are drawn and folded. The bound leaves 0.7 MB
-    of margin."""
+    """Both claims in one pass at 200,000 samples peak at 9.67-9.74 MB
+    (tracemalloc, 20 runs): the bit-flip check's chunk weights plus the
+    chunk's pre-processed losses, which the quantization claim holds as a
+    weight while the flips are drawn and folded. Beside the full-length
+    losses and codes it read 9.71-9.79 MB. The bound leaves 0.76 MB of
+    margin."""
     assert traced_peak(lambda: verify_gradient_scaling(verify_samples, np.random.default_rng(13))) < 10.5e6
+
+
+def test_verify_both_claims_hold_no_full_length_weight():
+    """At 10^6 samples both claims in one pass peak where they do at
+    200,000, in the pass: 9.74-9.75 MB (tracemalloc, 20 runs). With the
+    pre-processed losses, level codes and flip sums held at full length
+    they read 30.2 MB. The bound leaves 0.75 MB of margin."""
+    samples = random_samples(16, np.uint8, 1_000_000, seed=3)
+    assert traced_peak(lambda: verify_gradient_scaling(samples, np.random.default_rng(13))) < 10.5e6
 
 
 def test_decision_regions_validation():
@@ -844,6 +872,89 @@ def test_score_moments_rejects_bad_shape(small_samples):
         score_moments(small_samples, {"bad": np.ones(3)})
 
 
+def tree_sum(x, leaf=128, multiple=8):
+    """A pairwise sum: leaves of at most leaf values summed with eight
+    interleaved accumulators (sequentially below 8), and a longer block
+    split after n/2 values rounded down to a multiple of multiple. With the
+    defaults, NumPy's rule for a contiguous float64 vector."""
+    n = x.size
+    if n > leaf:
+        half = n // 2 - n // 2 % multiple
+        return tree_sum(x[:half], leaf, multiple) + tree_sum(x[half:], leaf, multiple)
+    if n < 8:
+        total = 0.0
+        for value in x:
+            total += value
+        return total
+    lanes = x[: n - n % 8].reshape(-1, 8)
+    acc = lanes[0].copy()
+    for row in lanes[1:]:
+        acc += row
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for value in x[n - n % 8 :]:
+        total += value
+    return total
+
+
+def spread_values(n):
+    """Values of magnitudes e^-20 to e^20 and both signs, whose sums in
+    other orders mostly read other bits."""
+    rng = np.random.default_rng(n)
+    return rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+
+
+def streamed_sum(x, chunk):
+    total = PairwiseSum(x.size)
+    for start in range(0, x.size, chunk):
+        total.add(x[start : start + chunk])
+    return total
+
+
+@pytest.mark.parametrize("chunk", [701, 4096, 65_536])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 65_536, 65_537, 150_001, 999_983, 1_000_000])
+def test_pairwise_sum_keeps_the_bits_of_numpys_reductions(n, chunk):
+    """The sum, mean and variance (a second pass over the squared
+    deviations) of a vector given in chunks read the bits of np.add.reduce,
+    np.mean and np.var over the whole vector. With 701-value chunks most
+    boundaries fall inside a leaf of 128 values or fewer. A NumPy whose
+    pairwise tree changed fails here; see also
+    test_numpy_sums_by_the_pairwise_tree."""
+    x = spread_values(n)
+    total = streamed_sum(x, chunk)
+    assert total.sum == np.add.reduce(x)
+    assert total.mean() == np.mean(x)
+    assert streamed_sum((x - total.mean()) ** 2, chunk).mean() == np.var(x)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_pairwise_sum_carries_a_leaf_across_short_chunks(n):
+    """Chunks of 1 to 130 values: many leaves span several chunks."""
+    x = spread_values(n)
+    lengths = np.random.default_rng(n).integers(1, 131, size=n)
+    ends = np.cumsum(lengths)[np.cumsum(lengths) < n]
+    total = PairwiseSum(n)
+    for part in np.split(x, ends):
+        total.add(part)
+    assert total.seen == n and total.sum == np.add.reduce(x)
+    assert streamed_sum(x, 1).sum == np.add.reduce(x)
+
+
+def test_numpy_sums_by_the_pairwise_tree():
+    """The rule PairwiseSum replays. The values tell it from a tree with
+    leaves of 64 or 256, from a split not rounded to a multiple of 8, and
+    from one sum per 701-value chunk added in order."""
+    vectors = [spread_values(n) for n in (1000, 65_537, 150_001)]
+    wholes = [np.add.reduce(x) for x in vectors]
+    assert [tree_sum(x) for x in vectors] == wholes
+    for other in (
+        lambda x: tree_sum(x, leaf=64),
+        lambda x: tree_sum(x, leaf=256),
+        lambda x: tree_sum(x, multiple=1),
+        lambda x: sum(np.add.reduce(x[start : start + 701]) for start in range(0, x.size, 701)),
+    ):
+        assert [other(x) for x in vectors] != wholes
+
+
 def test_score_mean_is_zero_within_stderr(small_samples):
     """Unweighted score mean should vanish; check per coordinate at 5 sigma."""
     s = small_samples
@@ -918,7 +1029,7 @@ def test_verify_bitflip_with_nothing_to_flip_returns_at_once(monkeypatch, small_
     def no_pass(*args):
         raise AssertionError("the check ran a pass")
 
-    monkeypatch.setattr(evaluation, "_preprocessed_losses", no_pass)
+    monkeypatch.setattr(evaluation, "_loss_preprocessor", no_pass)
     monkeypatch.setattr(evaluation, "score_moments", no_pass)
     rng = np.random.default_rng(16)
     state = rng.bit_generator.state
@@ -931,7 +1042,7 @@ def fixed_losses(monkeypatch, n):
     losses of any sample set, and returns them. A single real loss would
     be a degenerate batch."""
     pre = np.random.default_rng(n).random(n)
-    monkeypatch.setattr(evaluation, "_preprocessed_losses", lambda sample_set, clip_fraction: pre)
+    monkeypatch.setattr(evaluation, "_loss_preprocessor", lambda sample_set, clip_fraction: lambda sl: pre[sl])
     return pre
 
 
@@ -1007,9 +1118,23 @@ def test_flip_generator_keeps_a_buffered_32_bit_half(monkeypatch):
     assert state == serial_state
 
 
-def test_verify_bitflip_rejects_a_generator_it_cannot_position(small_samples):
-    with pytest.raises(ValueError, match="PCG64"):
-        verify_bitflip_gradient_scaling(small_samples, np.random.Generator(np.random.Philox(16)))
+@pytest.mark.parametrize("flip_rng", [np.random.Generator(np.random.Philox(16)), None])
+def test_verify_bitflip_rejects_a_generator_it_cannot_position(small_samples, flip_rng):
+    with pytest.raises(ValueError, match="must be a PCG64 generator"):
+        verify_gradient_scaling(small_samples, flip_rng, (), (1,), (0.1,))
+
+
+@pytest.mark.parametrize(
+    "quantized_bits, bitflip_bits, flip_probs, key",
+    [((1, 3, 1), (1,), (0.1,), "quantized_bits"), ((), (2, 2), (0.1,), "bitflip_bits"), ((), (1,), (0.1, 0.2, 0.1), "flip_probs")],
+)
+def test_verify_rejects_a_repeated_width_or_probability(small_samples, quantized_bits, bitflip_bits, flip_probs, key):
+    """A repeated probability would draw two blocks and keep one report."""
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{key} repeats a value"):
+        verify_gradient_scaling(small_samples, rng, quantized_bits, bitflip_bits, flip_probs)
+    assert rng.bit_generator.state == state
 
 
 def test_flips_are_drawn_on_the_main_thread_and_folded_on_one_helper(monkeypatch, small_samples):

@@ -22,8 +22,10 @@ from qflearn.feedback import (
     level_indices,
     loss_transform,
     preprocess,
+    preprocess_bounds,
     quantize,
     quantize_value,
+    rescale,
 )
 
 
@@ -108,7 +110,14 @@ def out_of_place_preprocess(raw, clip_fraction):
     ],
 )
 def test_in_place_preprocess_keeps_the_out_of_place_bits(raw, clip_fraction):
-    assert preprocess(raw, clip_fraction)[0].tobytes() == out_of_place_preprocess(raw, clip_fraction).tobytes()
+    """Also chunk by chunk: the batch's bounds, then its elementwise
+    transform on 7-loss slices, as the verify harness pre-processes."""
+    expect = out_of_place_preprocess(raw, clip_fraction).tobytes()
+    assert preprocess(raw, clip_fraction)[0].tobytes() == expect
+    l_min, l_max, degenerate = preprocess_bounds(raw, clip_fraction)
+    if not degenerate:
+        parts = [rescale(raw[start : start + 7], l_min, l_max) for start in range(0, raw.size, 7)]
+        assert np.concatenate(parts).tobytes() == expect
 
 
 # ---------------------------------------------------------------------------
