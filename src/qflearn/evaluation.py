@@ -57,14 +57,14 @@ DEFAULT_CHUNK = 65_536
 RECEIVE_ROWS = 1024
 
 
-def _chunks(total, chunk=DEFAULT_CHUNK):
-    """Consecutive slices of at most chunk items that cover range(total).
+def _chunks(total):
+    """Consecutive slices of at most DEFAULT_CHUNK items that cover range(total).
 
     Every Monte Carlo loop walks these, so each chunk draws from its
     generator in the same order whatever the loop computes.
     """
-    for start in range(0, total, chunk):
-        yield slice(start, min(start + chunk, total))
+    for start in range(0, total, DEFAULT_CHUNK):
+        yield slice(start, min(start + DEFAULT_CHUNK, total))
 
 
 def _pass_rows(total):
@@ -327,7 +327,7 @@ class ScoreSampleSet:
     """
 
     messages: np.ndarray  # (N,) in the smallest unsigned dtype that holds M - 1
-    perturbations: np.ndarray  # (N, 2) noise applied, read [rows]; or a ReplayedPerturbations
+    perturbations: np.ndarray  # (N, 2) noise applied, read one _chunks slice at a time; or a ReplayedPerturbations
     raw_losses: np.ndarray  # (N,) receiver cross-entropy per sample
     jac: np.ndarray  # (M, 2, P) constellation Jacobian
     sigma_p_sq: float
@@ -338,32 +338,21 @@ class ScoreSampleSet:
 
 
 class ReplayedPerturbations:
-    """A collection's (N, 2) exploration noise, read by row slice: states[i], a
-    copy of the generator made just before the draw of chunk i (DEFAULT_CHUNK
-    rows each), redraws that chunk on a copy of itself, with the same bits. The
-    chunk last read is kept until a slice reads up to its end."""
+    """A collection's (N, 2) exploration noise, read one whole collection
+    chunk at a time: rows [i * DEFAULT_CHUNK, min((i + 1) * DEFAULT_CHUNK, N))
+    are redrawn from states[i], a copy of the generator made just before the
+    draw of chunk i, on a copy of itself, with the same bits. Any other
+    slice raises ValueError."""
 
     def __init__(self, states, num_samples, sigma_p_sq):
         self.states, self.num_samples, self.sigma_p_sq = states, num_samples, sigma_p_sq
-        self._last = None, None  # (chunk index, its read-only draw)
-
-    def _chunk(self, i):
-        if self._last[0] != i:
-            rows = min(DEFAULT_CHUNK, self.num_samples - i * DEFAULT_CHUNK)
-            w = exploration_noise((rows, 2), self.sigma_p_sq, copy.deepcopy(self.states[i]))
-            w.flags.writeable = False
-            self._last = i, w
-        return self._last[1]
 
     def __getitem__(self, rows):
         start, stop, step = rows.indices(self.num_samples)
-        if step != 1:
-            raise ValueError("replayed perturbations are read in row slices of step 1")
-        chunks = range(start // DEFAULT_CHUNK, -(-stop // DEFAULT_CHUNK))
-        parts = [self._chunk(i)[max(start - i * DEFAULT_CHUNK, 0) : stop - i * DEFAULT_CHUNK] for i in chunks]
-        if stop % DEFAULT_CHUNK == 0 or stop == self.num_samples:
-            self._last = None, None  # a forward walk reads no more of it
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        i = start // DEFAULT_CHUNK
+        if (start, stop, step) != (i * DEFAULT_CHUNK, min(start + DEFAULT_CHUNK, self.num_samples), 1):
+            raise ValueError("replayed perturbations are read one whole collection chunk at a time")
+        return exploration_noise((stop - start, 2), self.sigma_p_sq, copy.deepcopy(self.states[i]))
 
 
 def _gram_blocks(jac):
@@ -553,35 +542,29 @@ def _pair_key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, behind=False):
-    """One chunked pass over the samples computing the weighted moments.
+def score_moments(sample_set, weights_of, pairs=()):
+    """One pass over the samples' collection chunks (_chunks) computing the
+    weighted moments.
 
-    weights maps names to float64 vectors over all the samples, or yields,
-    chunk after chunk, one map of the same names to that chunk's weights,
-    float64 vectors or CodedWeights, which are expanded where they are
-    used. Every weight gets its mean vector, its mean (a PairwiseSum, with
-    the bits of the whole vector's mean) and its diagonal gram entry with
-    that entry's fourth moment; pairs lists the (a, b) name pairs whose
-    gram entries are accumulated as well. Mean vectors are accumulated per
-    message as sum_k a_k u_k and contracted with the Jacobian once at the
-    end, so no (N, P) score matrix ever exists. With behind, the chunks are
-    folded on a helper thread (channels._fold_behind) while the caller
-    makes the next chunk's weights.
+    weights_of(sl) maps names, the same for every chunk, to the chunk sl's
+    weights: float64 vectors or CodedWeights, which are expanded where they
+    are used. It runs on the calling thread, chunk after chunk, while a
+    helper thread folds the chunk before (channels._fold_behind). Every
+    weight gets its mean vector, its mean (a PairwiseSum, with the bits of
+    the whole vector's mean) and its diagonal gram entry with that entry's
+    fourth moment; pairs lists the (a, b) name pairs whose gram entries are
+    accumulated as well. Mean vectors are accumulated per message as
+    sum_k a_k u_k and contracted with the Jacobian once at the end, so no
+    (N, P) score matrix ever exists.
     """
     n = sample_set.num_samples
-    if isinstance(weights, dict):
-        vectors = weights
-        for name, w in vectors.items():
-            if w.shape != (n,):
-                raise ValueError(f"weight vector {name!r} has wrong shape")
-        weights = ({name: w[sl] for name, w in vectors.items()} for sl in _chunks(n, chunk))
     pairs = list(dict.fromkeys(_pair_key(a, b) for a, b in pairs if a != b))
     num_messages = sample_set.jac.shape[0]
     acc_u, acc_sum, acc_fourth = {}, {}, {}  # filled with the first chunk's names
     acc_gram = dict.fromkeys(pairs, 0.0)
     gram = _gram_blocks(sample_set.jac)
     acc_bins = np.arange(num_messages)
-    u_rows = np.empty((2, min(n, chunk)))  # every chunk's u
+    u_rows = np.empty((2, min(n, DEFAULT_CHUNK)))  # every chunk's u
 
     def fold(item):
         sl, chunk_weights = item
@@ -613,12 +596,7 @@ def score_moments(sample_set, weights, pairs=(), chunk=DEFAULT_CHUNK, behind=Fal
             acc_gram[(name, name)] += float(prod.sum())
             acc_fourth[name] += float(np.square(prod, out=prod).sum())
 
-    items = zip(_chunks(n, chunk), weights)
-    if behind:
-        _fold_behind(fold, items)
-    else:
-        for item in items:
-            fold(item)
+    _fold_behind(fold, ((sl, weights_of(sl)) for sl in _chunks(n)))
     return ScoreMoments(
         means={name: np.einsum("mc,mcp->p", acc, sample_set.jac) / n for name, acc in acc_u.items()},
         weight_means={name: float(acc.mean()) for name, acc in acc_sum.items()},
@@ -811,19 +789,19 @@ def verify_gradient_scaling(
     variances are of the uncentered per-sample gradients, which is what
     the bounds speak about.
 
-    The weights are made chunk by chunk on the caller's thread: the
-    chunk's losses pre-processed with bounds taken once over all of them,
-    each bit width's level codes, and the flipped codes summed over the
-    draws (see CodedWeight). The losses are a weight of the quantization
-    claim only. Every mean the reports read is a PairwiseSum over the
-    chunks, with the bits of a mean over the whole vector, and the losses'
-    variance takes a second pass. With flips to draw, each chunk's sent
-    codes go through channels.bsc, every (q, p, draw) block drawing from
-    its own copy of flip_rng moved to where a serial loop over the blocks,
-    in bitflip_bits order, would start it, while a helper thread folds the
-    chunk before; flip_rng must then be a PCG64 generator, and it ends
-    where that loop leaves it. Otherwise the pass folds inline and
-    flip_rng (None allowed) is not touched.
+    The weights are made chunk by chunk on the caller's thread, while a
+    helper thread folds the chunk before (score_moments): the chunk's
+    losses pre-processed with bounds taken once over all of them, each bit
+    width's level codes, and the flipped codes summed over the draws (see
+    CodedWeight). The losses are a weight of the quantization claim only.
+    Every mean the reports read is a PairwiseSum over the chunks, with the
+    bits of a mean over the whole vector, and the losses' variance takes a
+    second pass. With flips to draw, each chunk's sent codes go through
+    channels.bsc, every (q, p, draw) block drawing from its own copy of
+    flip_rng moved to where a serial loop over the blocks, in bitflip_bits
+    order, would start it; flip_rng must then be a PCG64 generator, and it
+    ends where that loop leaves it. Otherwise flip_rng (None allowed) is
+    not touched.
 
     Returns ({q_bits: ScalingReport}, {(q_bits, p): ScalingReport}).
     """
@@ -885,7 +863,7 @@ def verify_gradient_scaling(
             weights[f"e_q{q}_p{p}"] = CodedWeight(draws, mean_levels[q])
         return weights
 
-    moments = score_moments(sample_set, map(chunk_weights, _chunks(n)), pairs, behind=bool(flips))
+    moments = score_moments(sample_set, chunk_weights, pairs)
     if flips:
         kept = flip_rng.bit_generator.state  # advance clears the buffered 32-bit half
         flip_rng.bit_generator.state = dict(flip_rng.bit_generator.advance(offset).state, has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])

@@ -39,6 +39,7 @@ from qflearn.evaluation import (
 from qflearn.evaluation import (
     DEFAULT_CHUNK,
     RECEIVE_ROWS,
+    _chunks,
     _gram_blocks,
     _level_codes,
     _mean_level,
@@ -53,7 +54,6 @@ from qflearn.transceiver import (
     build_transmitter,
     constellation,
     cross_entropy_losses,
-    exploration_noise,
     exploration_variance,
     perturb,
     real_to_complex,
@@ -397,6 +397,16 @@ def serial_collection(tx, rx, channel, num_samples, rng):
     return messages, np.concatenate(kept), raw_losses
 
 
+def whole_perturbations(samples):
+    """A collected set's (N, 2) perturbations: its whole-chunk reads, concatenated."""
+    return np.concatenate([samples.perturbations[sl] for sl in _chunks(samples.num_samples)])
+
+
+def sliced(weights):
+    """score_moments' weights_of for full-length weight vectors."""
+    return lambda sl: {name: w[sl] for name, w in weights.items()}
+
+
 def replay_collection(num_samples):
     """(collected set, its generator, stored perturbations, the stored
     collection's generator), both collections from seed 12."""
@@ -423,7 +433,7 @@ def test_split_collection_equals_the_serial_loop(family, num_samples):
     messages, perturbations, raw_losses = serial_collection(tx, rx, channel, num_samples, serial_rng)
     assert samples.raw_losses.tobytes() == raw_losses.tobytes()
     assert samples.messages.tobytes() == messages.tobytes()
-    assert samples.perturbations[:].tobytes() == perturbations.tobytes()
+    assert whole_perturbations(samples).tobytes() == perturbations.tobytes()
     assert rng.bit_generator.state == serial_rng.bit_generator.state
 
 
@@ -553,35 +563,23 @@ def test_concurrent_collections_keep_their_bits_and_restore_blas(two_blas_thread
 
 @pytest.mark.parametrize("num_samples", [1, 65_535, 65_536, 65_537, 150_001])
 def test_replayed_perturbations_equal_the_stored_draws(num_samples):
-    """Whole collection chunks and 701-row slices, which straddle chunk
-    bounds, replay the stored bytes; so does a second read of each."""
+    """Whole collection chunks replay the stored bytes; so does a second
+    read of each."""
     samples, _, stored, _ = replay_collection(num_samples)
-    for step in (65_536, 701, 65_536):
-        rows = [samples.perturbations[start : start + step] for start in range(0, num_samples, step)]
-        assert np.concatenate(rows).tobytes() == stored.tobytes()
-    assert samples.perturbations[:].tobytes() == stored.tobytes()
+    for _ in range(2):
+        assert whole_perturbations(samples).tobytes() == stored.tobytes()
 
 
 def test_collection_and_replay_leave_the_generator_as_a_stored_collection():
+    """The replay reads one whole collection chunk at a time; any other
+    slice is refused."""
     samples, rng, _, stored_rng = replay_collection(150_001)
     assert rng.bit_generator.state == stored_rng.bit_generator.state
-    score_moments(samples, {"ones": np.ones(150_001)}, chunk=701)
+    score_moments(samples, sliced({"ones": np.ones(150_001)}))
     assert rng.bit_generator.state == stored_rng.bit_generator.state
-    with pytest.raises(ValueError, match="step 1"):
-        samples.perturbations[::2]
-
-
-def test_score_moments_in_short_chunks_replays_each_collection_chunk_once(monkeypatch):
-    samples = replay_collection(150_001)[0]
-    draws = []
-
-    def counted(shape, sigma_p_sq, rng):
-        draws.append(shape)
-        return exploration_noise(shape, sigma_p_sq, rng)
-
-    monkeypatch.setattr(evaluation, "exploration_noise", counted)
-    score_moments(samples, {"ones": np.ones(150_001)}, chunk=701)
-    assert draws == [(65_536, 2), (65_536, 2), (18_929, 2)]
+    for rows in (slice(5, 70_000), slice(0, 701), slice(65_536, 150_001), slice(None), slice(None, None, 2)):
+        with pytest.raises(ValueError, match="one whole collection chunk"):
+            samples.perturbations[rows]
 
 
 def test_collected_set_retains_about_9_bytes_per_sample():
@@ -622,7 +620,10 @@ def test_verify_bitflip_holds_weights_as_level_codes(verify_samples):
     chunk, the weights of the chunk folded and of the chunk drawn are all
     it holds, and it peaks at 7.56-7.76 MB over 20 runs; weights made in
     one generator frame, which kept the last chunk's losses and levels
-    alive, read 8.3 MB. The bound leaves 0.74 MB of margin."""
+    alive, read 8.3 MB. Handed to the fold by a generator expression
+    instead of zip, whose reused result tuple kept the chunk before's
+    weights alive, it peaks at 6.84-7.04 MB over 20 runs (7.57-7.76 MB
+    with zip). The bound leaves 1.46 MB of margin."""
     peak = traced_peak(lambda: verify_bitflip_gradient_scaling(verify_samples, np.random.default_rng(13)))
     assert peak < 8.5e6
 
@@ -630,7 +631,8 @@ def test_verify_bitflip_holds_weights_as_level_codes(verify_samples):
 def test_verify_quantized_holds_one_full_length_sort():
     """At 10^6 samples the quantized check peaks in the order statistics of
     the pre-processing, whose sorted copy of the raw losses takes 8 MB:
-    8.004 MB (tracemalloc). It read 20.0 MB while it held the pre-processed
+    8.004 MB (tracemalloc, 20 runs), folded inline or on the helper thread
+    alike. It read 20.0 MB while it held the pre-processed
     losses, their level codes and one bit width's levels at full length,
     and 27.0 MB with a separate product of levels and losses. The bound
     leaves 1 MB of margin."""
@@ -640,7 +642,8 @@ def test_verify_quantized_holds_one_full_length_sort():
 
 def test_verify_quantized_moments_hold_no_gram_gather(verify_samples):
     """At 200,000 samples the quantized check peaks in a chunk of
-    score_moments: 5.73 MB (tracemalloc), 6.5 MB beside the full-length
+    score_moments: 5.73 MB (tracemalloc, 20 runs), folded inline or on
+    the helper thread alike, 6.5 MB beside the full-length
     pre-processed losses and level codes, 7.5 MB before the pair entries
     were taken ahead of the bincount buffers. It read 10.2 MB before the
     per-component kernels; with them, the einsum over an (n, 2, 2) Gram
@@ -650,20 +653,22 @@ def test_verify_quantized_moments_hold_no_gram_gather(verify_samples):
 
 
 def test_verify_both_claims_hold_the_losses_beside_the_flips(verify_samples):
-    """Both claims in one pass at 200,000 samples peak at 9.67-9.74 MB
+    """Both claims in one pass at 200,000 samples peak at 8.16-8.36 MB
     (tracemalloc, 20 runs): the bit-flip check's chunk weights plus the
     chunk's pre-processed losses, which the quantization claim holds as a
-    weight while the flips are drawn and folded. Beside the full-length
-    losses and codes it read 9.71-9.79 MB. The bound leaves 0.76 MB of
-    margin."""
+    weight while the flips are drawn and folded. With the weights handed
+    to the fold by zip, which kept the chunk before's alive, it read
+    9.54-9.74 MB, and beside the full-length losses and codes 9.71-9.79 MB.
+    The bound leaves 2.14 MB of margin."""
     assert traced_peak(lambda: verify_gradient_scaling(verify_samples, np.random.default_rng(13))) < 10.5e6
 
 
 def test_verify_both_claims_hold_no_full_length_weight():
     """At 10^6 samples both claims in one pass peak where they do at
-    200,000, in the pass: 9.74-9.75 MB (tracemalloc, 20 runs). With the
-    pre-processed losses, level codes and flip sums held at full length
-    they read 30.2 MB. The bound leaves 0.75 MB of margin."""
+    200,000, in the pass: 8.30-8.37 MB (tracemalloc, 20 runs; 9.61-9.75 MB
+    with the weights handed to the fold by zip). With the pre-processed
+    losses, level codes and flip sums held at full length they read
+    30.2 MB. The bound leaves 2.13 MB of margin."""
     samples = random_samples(16, np.uint8, 1_000_000, seed=3)
     assert traced_peak(lambda: verify_gradient_scaling(samples, np.random.default_rng(13))) < 10.5e6
 
@@ -746,7 +751,7 @@ def test_score_moments_match_dense(small_samples):
         "rand": rng.uniform(0.0, 1.0, size=s.num_samples),
     }
     every_pair = [(a, b) for a in weights for b in weights]
-    moments = score_moments(s, weights, every_pair, chunk=701)
+    moments = score_moments(s, sliced(weights), every_pair)
     dense = dense_scores(s)
     norms = np.sum(dense * dense, axis=1)
     for name, w in weights.items():
@@ -767,24 +772,25 @@ def test_score_moments_match_dense(small_samples):
     assert moments.gram_bilinear(coeffs, coeffs) == pytest.approx(direct, rel=1e-10)
 
 
-def add_at_means(samples, w, chunk):
+def add_at_means(samples, w):
     """Per-message upstream sums with np.add.at, chunk by chunk, contracted
     with the Jacobian: the reference for score_moments' means."""
     acc = np.zeros((samples.jac.shape[0], 2))
-    for start in range(0, samples.num_samples, chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, samples.num_samples, DEFAULT_CHUNK):
+        sl = slice(start, min(start + DEFAULT_CHUNK, samples.num_samples))
         u = score_upstream(samples.perturbations[sl], samples.sigma_p_sq)
         np.add.at(acc, samples.messages[sl], w[sl][:, None] * u)
     return np.einsum("mc,mcp->p", acc, samples.jac) / samples.num_samples
 
 
-def test_score_moments_means_equal_add_at_reference_exactly(small_samples):
-    s = small_samples
+def test_score_moments_means_equal_add_at_reference_exactly(claim_sets):
+    """Three collection chunks, the last one short."""
+    s = claim_sets["awgn"]
     rng = np.random.default_rng(16)
     weights = {"loss": s.raw_losses.copy(), "signed": rng.normal(size=s.num_samples)}
-    moments = score_moments(s, weights, chunk=701)
+    moments = score_moments(s, sliced(weights))
     for name, w in weights.items():
-        assert moments.means[name].tobytes() == add_at_means(s, w, 701).tobytes()
+        assert moments.means[name].tobytes() == add_at_means(s, w).tobytes()
 
 
 def einsum_norms_sq(gram, messages, u):
@@ -793,7 +799,7 @@ def einsum_norms_sq(gram, messages, u):
     return np.einsum("kc,kcd,kd->k", u, gram[messages], u)
 
 
-def interleaved_score_moments(samples, weights, chunk):
+def interleaved_score_moments(samples, weights):
     """Means, gram diagonal and fourth moments with one bincount per weight
     over the interleaved bins 2 * m + c and einsum_norms_sq: the reference
     for score_moments' per-component accumulation."""
@@ -802,8 +808,8 @@ def interleaved_score_moments(samples, weights, chunk):
     acc_gram = dict.fromkeys(weights, 0.0)
     acc_fourth = dict.fromkeys(weights, 0.0)
     gram = _gram_blocks(samples.jac)
-    for start in range(0, samples.num_samples, chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, samples.num_samples, DEFAULT_CHUNK):
+        sl = slice(start, min(start + DEFAULT_CHUNK, samples.num_samples))
         m = samples.messages[sl].astype(np.intp)
         u = score_upstream(samples.perturbations[sl], samples.sigma_p_sq)
         norms_sq = einsum_norms_sq(gram, m, u)
@@ -834,19 +840,19 @@ def random_samples(num_messages, dtype, n, seed):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.intp])
 @pytest.mark.parametrize(
-    "num_messages, n, chunk",
-    [(16, 4000, 701), (256, 3000, 1024), (16, 2 * 701 + 1, 701), (16, 300, 1), (256, 1, 65_536)],
+    "num_messages, n",
+    [(16, 4000), (256, 2 * DEFAULT_CHUNK + 1), (16, 2 * DEFAULT_CHUNK + 1), (16, DEFAULT_CHUNK + 1), (256, 1)],
 )
-def test_per_component_moments_keep_the_interleaved_bits(dtype, num_messages, n, chunk):
-    """Partial last chunks, 1-sample chunks and 1-sample sets; with 256
+def test_per_component_moments_keep_the_interleaved_bits(dtype, num_messages, n):
+    """Partial last chunks, 1-sample last chunks and 1-sample sets; with 256
     messages the codes reach past 127."""
-    samples = random_samples(num_messages, dtype, n, seed=num_messages + n + chunk)
+    samples = random_samples(num_messages, dtype, n, seed=num_messages + n)
     if num_messages == 256 and n > 1:
         assert samples.messages.max() >= 128
     rng = np.random.default_rng(17)
     weights = {"ones": np.ones(n), "loss": samples.raw_losses, "signed": rng.normal(size=n)}
-    moments = score_moments(samples, weights, chunk=chunk)
-    means, gram, fourth = interleaved_score_moments(samples, weights, chunk)
+    moments = score_moments(samples, sliced(weights))
+    means, gram, fourth = interleaved_score_moments(samples, weights)
     for name in weights:
         assert moments.means[name].tobytes() == means[name].tobytes()
         assert moments.gram[(name, name)] == gram[name]
@@ -865,11 +871,6 @@ def test_per_coefficient_norms_keep_the_einsum_bits(dtype, num_messages):
         expect = einsum_norms_sq(gram, samples.messages[rows], u[rows]).tobytes()
         assert _score_norms_sq(gram, samples.messages[rows], u[rows]).tobytes() == expect
         assert _score_norms_sq(gram, samples.messages[rows], np.asfortranarray(u[rows])).tobytes() == expect
-
-
-def test_score_moments_rejects_bad_shape(small_samples):
-    with pytest.raises(ValueError):
-        score_moments(small_samples, {"bad": np.ones(3)})
 
 
 def tree_sum(x, leaf=128, multiple=8):
@@ -958,7 +959,7 @@ def test_numpy_sums_by_the_pairwise_tree():
 def test_score_mean_is_zero_within_stderr(small_samples):
     """Unweighted score mean should vanish; check per coordinate at 5 sigma."""
     s = small_samples
-    moments = score_moments(s, {"ones": np.ones(s.num_samples)})
+    moments = score_moments(s, sliced({"ones": np.ones(s.num_samples)}))
     std = score_coordinate_std(s.jac, s.sigma_p_sq)
     z = np.abs(moments.means["ones"]) / (std / math.sqrt(s.num_samples) + 1e-30)
     assert z.max() < 5.0
@@ -1140,8 +1141,9 @@ def test_verify_rejects_a_repeated_width_or_probability(small_samples, quantized
 def test_flips_are_drawn_on_the_main_thread_and_folded_on_one_helper(monkeypatch, small_samples):
     """bsc is traced by the bench, whose spans assume one thread: every
     call runs on the main thread, while one helper thread folds the
-    chunks. The quantized check folds on the main thread."""
-    seen = {"bsc": [], "fold": []}
+    chunks. The quantized check also folds on one helper, and its weights
+    are made on the main thread."""
+    seen = {"bsc": [], "fold": [], "weights": []}
 
     def on_thread(key, fn):
         def noted(*args):
@@ -1152,25 +1154,67 @@ def test_flips_are_drawn_on_the_main_thread_and_folded_on_one_helper(monkeypatch
 
     monkeypatch.setattr(evaluation, "bsc", on_thread("bsc", bsc))
     monkeypatch.setattr(evaluation, "_score_norms_sq", on_thread("fold", _score_norms_sq))
+    monkeypatch.setattr(evaluation, "_level_codes", on_thread("weights", _level_codes))
     verify_bitflip_gradient_scaling(small_samples, np.random.default_rng(13))
     assert len(seen["bsc"]) == 48 and set(seen["bsc"]) == {threading.main_thread()}
     assert len(set(seen["fold"])) == 1 and threading.main_thread() not in seen["fold"]
-    seen["fold"].clear()
+    for calls in seen.values():
+        calls.clear()
     verify_quantized_gradient_scaling(small_samples)
-    assert set(seen["fold"]) == {threading.main_thread()}
+    assert not seen["bsc"]
+    assert len(seen["weights"]) == 3 and set(seen["weights"]) == {threading.main_thread()}
+    assert len(seen["fold"]) == 1 and threading.main_thread() not in seen["fold"]
 
 
-@pytest.mark.parametrize("failure", [None, "expansion", "draw"])
-def test_bitflip_check_leaves_no_thread_behind(monkeypatch, failure):
-    """Four chunks, each drawn in 48 bsc calls and folded with 18 mean-level
-    expansions. An error in the second chunk's fold, on the helper, stops
-    the caller once it has drawn the third chunk: the first fold is slowed,
-    so a caller more than one chunk ahead would draw the fourth. An error
-    in a bsc call of the third chunk, on the caller's thread, stops the
-    fold. Either is raised in the caller, and the helper is joined on every
-    exit."""
+def test_score_moments_makes_each_chunks_weights_once_in_order_on_the_caller(monkeypatch):
+    """weights_of runs once per collection chunk, in order, on the thread
+    that called score_moments, while one other thread folds the chunks."""
+    samples = random_samples(16, np.uint8, 2 * DEFAULT_CHUNK + 1, seed=7)
+    caller, made, folded = [], [], []
+
+    def weights_of(sl):
+        made.append((sl, threading.current_thread()))
+        return {"ones": np.ones(sl.stop - sl.start)}
+
+    def noted_fold(*args):
+        folded.append(threading.current_thread())
+        return _score_norms_sq(*args)
+
+    def call():
+        caller.append(threading.current_thread())
+        return score_moments(samples, weights_of)
+
+    monkeypatch.setattr(evaluation, "_score_norms_sq", noted_fold)
+    bounded_call(call)
+    [caller] = caller
+    chunks = [slice(0, DEFAULT_CHUNK), slice(DEFAULT_CHUNK, 2 * DEFAULT_CHUNK), slice(2 * DEFAULT_CHUNK, 2 * DEFAULT_CHUNK + 1)]
+    assert made == [(sl, caller) for sl in chunks]
+    assert len(folded) == 3 and len(set(folded)) == 1 and caller not in folded
+
+
+@pytest.mark.parametrize(
+    "check, failure",
+    [
+        pytest.param("bitflip", None, id="None"),
+        pytest.param("bitflip", "expansion", id="expansion"),
+        pytest.param("bitflip", "draw", id="draw"),
+        pytest.param("quantized", None, id="quantized-None"),
+        pytest.param("quantized", "fold", id="quantized-fold"),
+        pytest.param("quantized", "weights", id="quantized-weights"),
+    ],
+)
+def test_bitflip_check_leaves_no_thread_behind(monkeypatch, two_blas_threads, check, failure):
+    """Four chunks. The bit-flip check draws each in 48 bsc calls and folds
+    it with 18 mean-level expansions; the quantized check makes each in 3
+    level-code calls and folds it with one score-norm call. An error in the
+    second chunk's fold, on the helper, stops the caller once it has made
+    the third chunk: the first fold is slowed, so a caller more than one
+    chunk ahead would make the fourth. An error in a bsc or level-code call
+    of the third chunk, on the caller's thread, stops the fold. Either is
+    raised in the caller; the helper is joined and OpenBLAS's thread count
+    restored on every exit."""
     samples = random_samples(16, np.uint8, 4 * DEFAULT_CHUNK, seed=5)
-    calls = {"bsc": 0, "expand": 0}
+    calls = {"bsc": 0, "expand": 0, "codes": 0, "norms": 0}
 
     def counted_bsc(*args):
         calls["bsc"] += 1
@@ -1189,17 +1233,41 @@ def test_bitflip_check_leaves_no_thread_behind(monkeypatch, failure):
 
         return expand_or_fail
 
+    def counted_codes(*args):
+        calls["codes"] += 1
+        if failure == "weights" and calls["codes"] == 2 * 3 + 1:
+            raise RuntimeError("weights failed")
+        return _level_codes(*args)
+
+    def counted_norms(*args):
+        calls["norms"] += 1
+        if check == "quantized" and calls["norms"] == 1:
+            time.sleep(0.2)
+        if failure == "fold" and calls["norms"] == 2:
+            raise RuntimeError("fold failed")
+        return _score_norms_sq(*args)
+
     monkeypatch.setattr(evaluation, "bsc", counted_bsc)
     monkeypatch.setattr(evaluation, "_mean_level", lambda cfg, flip_draws: counted(_mean_level(cfg, flip_draws)))
+    monkeypatch.setattr(evaluation, "_level_codes", counted_codes)
+    monkeypatch.setattr(evaluation, "_score_norms_sq", counted_norms)
     before = threading.active_count()
-    check = verify_bitflip_gradient_scaling, samples, np.random.default_rng(13)
+    if check == "bitflip":
+        run = verify_bitflip_gradient_scaling, samples, np.random.default_rng(13)
+    else:
+        run = verify_quantized_gradient_scaling, samples
     if failure is None:
-        assert len(bounded_call(*check)) == 6
+        assert len(bounded_call(*run)) == {"bitflip": 6, "quantized": 3}[check]
     else:
         with pytest.raises(RuntimeError, match=f"{failure} failed"):
-            bounded_call(*check)
-    assert calls["bsc"] == {None: 4 * 48, "expansion": 3 * 48, "draw": 2 * 48 + 5}[failure]
+            bounded_call(*run)
+    if check == "bitflip":
+        assert calls["bsc"] == {None: 4 * 48, "expansion": 3 * 48, "draw": 2 * 48 + 5}[failure]
+    else:
+        assert calls["codes"] == {None: 4 * 3, "fold": 3 * 3, "weights": 2 * 3 + 1}[failure]
+        assert calls["norms"] == {None: 4, "fold": 2, "weights": 2}[failure]
     assert threading.active_count() == before
+    assert _blas_threads() == two_blas_threads
 
 
 def test_bitflip_checks_on_many_threads_keep_their_bits():
@@ -1288,13 +1356,14 @@ def test_collected_messages_are_the_smallest_unsigned_codes(small_samples):
     """uint8 for 16 messages; score_moments gathers and bins the codes as
     they are."""
     assert small_samples.messages.dtype == np.uint8
+    n = DEFAULT_CHUNK + 1
     big = collect_score_samples(
         build_transmitter(200, np.random.default_rng(10)), build_receiver(200, np.random.default_rng(11)),
-        CHANNEL, 200, 3000, np.random.default_rng(12),
+        CHANNEL, 200, n, np.random.default_rng(12),
     )
     assert big.messages.dtype == np.uint8 and big.messages.max() >= 128
-    moments = score_moments(big, {"ones": np.ones(3000)}, chunk=701)
-    assert moments.means["ones"].tobytes() == add_at_means(big, np.ones(3000), 701).tobytes()
+    moments = score_moments(big, sliced({"ones": np.ones(n)}))
+    assert moments.means["ones"].tobytes() == add_at_means(big, np.ones(n)).tobytes()
 
 
 # ---------------------------------------------------------------------------
