@@ -18,7 +18,11 @@ NLPN = "nlpn"
 
 
 def dbm_to_mw(dbm):
-    return 10.0 ** (dbm / 10.0)
+    """10^(dbm/10): 0.0 below about -3,236 dBm, inf above about 3,082 dBm."""
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -36,6 +40,10 @@ class ChannelConfig:
         # sigma_sq_dbm = -inf is the noiseless hook; NaN and +inf fail the comparison.
         if not (self.sigma_sq_dbm < math.inf and all(map(math.isfinite, (self.P_dbm, self.gamma, self.L_km)))):
             raise ValueError("P_dbm, gamma and L_km must be finite, sigma_sq_dbm finite or -inf")
+        if not 0.0 < self.P_mw < math.inf:
+            raise ValueError(f"P_dbm must give a positive, finite power in mW, got {self.P_dbm}")
+        if self.sigma_sq_mw == math.inf:
+            raise ValueError(f"sigma_sq_dbm must give a finite power in mW, got {self.sigma_sq_dbm}")
         if self.family == NLPN:
             if self.gamma < 0.0 or self.L_km <= 0.0 or self.K < 1:
                 raise ValueError("NLPN needs gamma >= 0, L_km > 0, K >= 1")
@@ -86,18 +94,13 @@ def awgn(x, cfg, rng):
     return out
 
 
-# Most normals one nlpn noise draw of a single channel use may hold (64 KB).
-# A batch of 64 draws all K = 50 steps at once; inputs of more than 2,048
-# symbols draw one step at a time. A piped call (_NLPN_PIPELINE_SYMBOLS)
-# holds at most 2 step blocks at once: the one being stepped and the one
-# being drawn, under 4 MB at 10^5 symbols.
-_NLPN_DRAW_NORMALS = 2**13
-# Most normals one draw for a group of whole rows of a stacked (2-d) input
-# may hold (512 KB): groups of 10 rows of 64 symbols at K = 50. A whole
+# Most normals one nlpn noise draw may hold (512 KB): all K = 50 steps of a
+# use of up to 655 symbols, or of a group of 10 stacked rows of 64. A whole
 # 30 x 64 receiver phase in one group ran no faster and tripled the call's
-# transient memory. A row wider than this (B > 655 at K = 50) goes through
-# the single-use path row by row.
-_NLPN_ROW_GROUP_NORMALS = 2**16
+# transient memory. A wider use draws one step per draw; a piped one
+# (_NLPN_PIPELINE_SYMBOLS) holds at most 2 step blocks at once, the one
+# being stepped and the one being drawn: under 4 MB at 10^5 symbols.
+_NLPN_DRAW_NORMALS = 2**16
 
 
 # From this many bytes up NumPy elides the temporary in x * np.exp(...) and
@@ -249,27 +252,22 @@ def _fold_behind(fold, items):
 
 
 def _nlpn_use(x, cfg, rng):
-    """One channel use, its noise drawn in blocks of steps capped at
-    _NLPN_DRAW_NORMALS normals. From _NLPN_PIPELINE_SYMBOLS symbols up
-    a helper thread steps each block while the caller draws the next."""
+    """One channel use (a 0-d or 1-d x) or a group of whole rows of a
+    stacked input (2-d). All K steps whose noise fits _NLPN_DRAW_NORMALS
+    normals are one draw, (K, 2) + x.shape or (rows, K, 2, B); a wider use
+    takes one draw per step, and from _NLPN_PIPELINE_SYMBOLS symbols up a
+    helper thread steps each step while the caller draws the next."""
     step_var = cfg.sigma_sq_mw / cfg.K
-    block = max(1, _NLPN_DRAW_NORMALS // (2 * max(x.size, 1)))
-    blocks = (_gaussian_parts(x.shape, step_var, rng, (min(block, cfg.K - k),)) for k in range(0, cfg.K, block))
     out, step = _nlpn_steps(x, cfg)
-    if x.size < _NLPN_PIPELINE_SYMBOLS:
-        for noise in blocks:
-            step(noise)
+    if 2 * cfg.K * x.size <= _NLPN_DRAW_NORMALS:
+        lead = x.shape[:1] if x.ndim > 1 else ()
+        noise = _gaussian_parts(x.shape[len(lead) :], step_var, rng, lead + (cfg.K,))
+        step(np.moveaxis(noise, 0, 2) if lead else noise)
+    elif x.size < _NLPN_PIPELINE_SYMBOLS:
+        for _ in range(cfg.K):
+            step(_gaussian_parts(x.shape, step_var, rng, (1,)))
     else:
-        _fold_behind(step, blocks)
-    return out
-
-
-def _nlpn_rows(x, cfg, rng):
-    """A group of whole rows of a stacked input, all K steps of every row
-    drawn at once: one (rows, K, 2, B) draw."""
-    noise = _gaussian_parts(x.shape[1:], cfg.sigma_sq_mw / cfg.K, rng, (len(x), cfg.K))
-    out, step = _nlpn_steps(x, cfg)
-    step(np.moveaxis(noise, 0, 2))
+        _fold_behind(step, (_gaussian_parts(x.shape, step_var, rng, (1,)) for _ in range(cfg.K)))
     return out
 
 
@@ -282,21 +280,17 @@ def nlpn(x, cfg, rng):
     match a draw per step.
 
     A 2-d x is a stack of channel uses: row i gets exactly what a call on
-    x[i] would get after calls on x[0], ..., x[i-1]. Groups of whole rows
-    draw all their K steps at once, (rows, K, 2, B), up to
-    _NLPN_ROW_GROUP_NORMALS normals per draw, and run the recursion together.
+    x[i] would get after calls on x[0], ..., x[i-1]. Groups of as many whole
+    rows as fit _NLPN_DRAW_NORMALS draw all their K steps at once and run
+    the recursion together; a row too wide for that goes alone.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim < 2:
         return _nlpn_use(x, cfg, rng)
     out = np.empty_like(x)
-    rows = _NLPN_ROW_GROUP_NORMALS // (2 * cfg.K * max(math.prod(x.shape[1:]), 1))
-    if rows == 0:
-        for i, row in enumerate(x):
-            out[i] = _nlpn_use(row, cfg, rng)
-        return out
+    rows = max(_NLPN_DRAW_NORMALS // (2 * cfg.K * max(math.prod(x.shape[1:]), 1)), 1)
     for i in range(0, len(x), rows):
-        out[i : i + rows] = _nlpn_rows(x[i : i + rows], cfg, rng)
+        out[i : i + rows] = _nlpn_use(x[i : i + rows], cfg, rng)
     return out
 
 

@@ -147,6 +147,10 @@ def _first_best(scores, shape):
 # Radii within this relative distance share a ring table: a rotated
 # constellation's ring members can differ in |x| by an ulp.
 RING_RTOL = 1e-12
+# SampledNlpnDetector.fit's square grid: cells per axis, and how many noise
+# standard deviations it reaches past the largest radius.
+FIT_BINS = 100
+FIT_PAD = 4.0
 
 
 def _rings(radii):
@@ -194,21 +198,19 @@ class SampledNlpnDetector:
         self._upper = np.concatenate((edges[1:-1], [math.inf]))
 
     @classmethod
-    def fit(cls, points, channel_cfg, rng, draws_per_point=100_000, bins=100, pad=4.0):
+    def fit(cls, points, channel_cfg, rng, draws_per_point=100_000):
         """One table per ring from draws_per_point channel draws: each
-        point's likelihood comes from that many draws, shared across its ring."""
+        point's likelihood comes from that many draws, shared across its
+        ring. The grid has FIT_BINS cells per axis and reaches FIT_PAD noise
+        standard deviations past the largest radius."""
         if draws_per_point < 1:
             raise ValueError("draws_per_point must be >= 1")
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        if not 0.0 <= pad < math.inf:
-            raise ValueError("pad must be finite and >= 0")
         points = np.asarray(points, dtype=np.complex128)
         radii = np.abs(points)
         ring_of, ring_radii = _rings(radii)
-        half = float(np.max(radii)) + pad * math.sqrt(channel_cfg.sigma_sq_mw)
-        edges = np.linspace(-half, half, bins + 1)
-        log_density = np.empty((len(ring_radii), bins, bins))
+        half = float(np.max(radii)) + FIT_PAD * math.sqrt(channel_cfg.sigma_sq_mw)
+        edges = np.linspace(-half, half, FIT_BINS + 1)
+        log_density = np.empty((len(ring_radii), FIT_BINS, FIT_BINS))
         for k, radius in enumerate(ring_radii):
             # The ring's one radius, broadcast: propagate copies it into its own buffer.
             y = propagate(np.broadcast_to(np.complex128(radius), (draws_per_point,)), channel_cfg, rng)
@@ -266,18 +268,6 @@ def qam16(power_mw=1.0):
     re, im = np.meshgrid(axis, axis, indexing="ij")
     points = (re + 1j * im).ravel()
     return points * math.sqrt(power_mw / 10.0)  # E|a+jb|^2 = 10 on the +-1,+-3 grid
-
-
-def qam16_ser_closed_form(snr_db):
-    """Textbook symbol error probability of Gray-agnostic 16-QAM over AWGN.
-
-    SER = 1 - (1 - 1.5*Qf(sqrt(SNR/5)))^2 with Qf the Gaussian tail; the SNR
-    is the linear ratio of average symbol power to total noise variance.
-    """
-    snr = 10.0 ** (snr_db / 10.0)
-    arg = math.sqrt(snr / 5.0)
-    qf = 0.5 * math.erfc(arg / math.sqrt(2.0))
-    return 1.0 - (1.0 - 1.5 * qf) ** 2
 
 
 @dataclass
@@ -606,17 +596,6 @@ def score_moments(sample_set, weights_of, pairs=()):
     )
 
 
-def score_coordinate_std(jac, sigma_p_sq):
-    """Exact per-parameter standard deviation of the score under the policy.
-
-    Coordinate i of the score is J[m, 0, i]*u_0 + J[m, 1, i]*u_1 with u
-    components independent N(0, 2/sigma_p_sq) and m uniform, so the variance
-    is (2/sigma_p_sq) * mean_m (J[m, 0, i]^2 + J[m, 1, i]^2).
-    """
-    second = (jac**2).sum(axis=1).mean(axis=0)  # (P,)
-    return np.sqrt(2.0 / sigma_p_sq * second)
-
-
 @dataclass
 class ScalingReport:
     """Result of one expected-gradient scaling check on shared samples.
@@ -737,12 +716,18 @@ def _scaling_report(label, target, moments, test, ref, variance, **extra):
     )
 
 
-def _mean_level(cfg, flip_draws):
-    """The rule expanding a sum of flip_draws level codes to the level of
-    their mean, cfg.reconstruct(sums / flip_draws) in one float64 array."""
+# Independent flip realizations per sample on the mean side of the bit-flip
+# check: plain Monte Carlo over the flip randomness, which cuts the dominant
+# noise term.
+FLIP_DRAWS = 8
+
+
+def _mean_level(cfg):
+    """The rule expanding a sum of FLIP_DRAWS level codes to the level of
+    their mean, cfg.reconstruct(sums / FLIP_DRAWS) in one float64 array."""
 
     def expand(sums):
-        levels = sums / flip_draws
+        levels = sums / FLIP_DRAWS
         return np.add(np.multiply(levels, cfg.delta, out=levels), cfg.delta / 2.0, out=levels)
 
     return expand
@@ -770,7 +755,6 @@ def verify_gradient_scaling(
     bitflip_bits=(1, 2),
     flip_probs=(0.1, 0.2, 0.3),
     clip_fraction=DEFAULT_CLIP_FRACTION,
-    flip_draws=8,
 ):
     """Check both gradient-scaling claims on one sample set, in one
     score_moments pass.
@@ -781,8 +765,7 @@ def verify_gradient_scaling(
     Bit flips: for each q of bitflip_bits and p of flip_probs, the gradient
     of the quantized losses sent through a binary symmetric channel against
     (1 - 2p) times that of the quantized losses. Its mean side averages
-    flip_draws independent flip realizations per sample (plain Monte Carlo
-    over the flip randomness, which cuts the dominant noise term); for
+    FLIP_DRAWS independent flip realizations per sample; for
     q = 1 the bound V{gamma_q} + 4p(1-p)||grad_q||^2 + p*tr(J) is checked
     on one realization, since it is about per-sample spread (the bound
     fields are NaN for q = 2). Means are centered (see _centered_mean);
@@ -806,8 +789,6 @@ def verify_gradient_scaling(
     Returns ({q_bits: ScalingReport}, {(q_bits, p): ScalingReport}).
     """
     check_verify_claims(quantized_bits, bitflip_bits, flip_probs)
-    if flip_draws < 1:
-        raise ValueError("flip_draws must be >= 1")
     flip_bits = bitflip_bits if flip_probs else ()
     if flip_bits and not isinstance(bit_generator := getattr(flip_rng, "bit_generator", None), np.random.PCG64):
         raise ValueError(
@@ -830,13 +811,13 @@ def verify_gradient_scaling(
             pairs += _report_pairs(f"e_q{q}_p{p}", f"q{q}")
             flips[(q, p)] = [
                 np.random.Generator(copy.deepcopy(flip_rng.bit_generator).advance(offset + draw * n * q))
-                for draw in range(flip_draws)
+                for draw in range(FLIP_DRAWS)
             ]
-            offset += flip_draws * n * q
+            offset += FLIP_DRAWS * n * q
     # The level of the mean index is the mean of the levels. The levels are
-    # dyadic, so for a power-of-two flip_draws it carries the bits of
+    # dyadic, so for a power-of-two FLIP_DRAWS it carries the bits of
     # summing the dequantized draws.
-    mean_levels = {q: _mean_level(cfgs[q], flip_draws) for q in flip_bits}
+    mean_levels = {q: _mean_level(cfgs[q]) for q in flip_bits}
 
     def chunk_weights(sl):
         """The chunk's weights; its temporaries die before the next chunk's are made."""
@@ -854,7 +835,7 @@ def verify_gradient_scaling(
         del pre  # the flips need only the sent codes
         for (q, p), gens in flips.items():
             sent = weights[f"q{q}"].codes
-            draws = np.zeros(sent.shape, dtype=np.min_scalar_type(flip_draws * (cfgs[q].num_levels - 1)))
+            draws = np.zeros(sent.shape, dtype=np.min_scalar_type(FLIP_DRAWS * (cfgs[q].num_levels - 1)))
             for draw, gen in enumerate(gens):
                 received = bsc(sent, q, p, gen)
                 draws += received
@@ -914,10 +895,10 @@ def verify_quantized_gradient_scaling(sample_set, q_bits_list=(1, 3, 5), clip_fr
 
 
 def verify_bitflip_gradient_scaling(
-    sample_set, rng, q_bits_list=(1, 2), flip_probs=(0.1, 0.2, 0.3), clip_fraction=DEFAULT_CLIP_FRACTION, flip_draws=8
+    sample_set, rng, q_bits_list=(1, 2), flip_probs=(0.1, 0.2, 0.3), clip_fraction=DEFAULT_CLIP_FRACTION
 ):
     """The bit-flip claim alone: verify_gradient_scaling's {(q_bits, p): ScalingReport}."""
-    return verify_gradient_scaling(sample_set, rng, (), q_bits_list, flip_probs, clip_fraction, flip_draws)[1]
+    return verify_gradient_scaling(sample_set, rng, (), q_bits_list, flip_probs, clip_fraction)[1]
 
 
 def convergence_iteration(metrics, window=20, level_fraction=0.05):

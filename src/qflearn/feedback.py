@@ -1,4 +1,4 @@
-"""Per-mini-batch loss pre-processing, fixed quantization, and bit mapping.
+"""Per-mini-batch loss pre-processing, fixed quantization, and level codes.
 
 The receiver normalizes each mini-batch of per-sample losses into [0, 1]
 (clip the largest values, shift by the batch minimum, scale by the range),
@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import bsc, pack_bits
-
-CLIP = "clip"
-BASELINE = "baseline"
-SCALE = "scale"
+from .channels import bsc
 
 DEFAULT_CLIP_FRACTION = 0.05
 # Level indices are int64, and a loss of 1 falls in cell floor(2^q) before
@@ -145,35 +141,6 @@ def quantize_value(l, cfg):
     return cfg.reconstruct(level_indices(l, cfg))
 
 
-def indices_to_bits(indices, cfg):
-    """Natural binary encoding of level indices, MSB first, shape (..., q)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    shifts = np.arange(cfg.q_bits - 1, -1, -1)
-    return ((indices[..., None] >> shifts) & 1).astype(np.uint8)
-
-
-def bits_to_indices(bits, cfg):
-    """Level indices of MSB-first bit vectors (bool or integer), shape (...)."""
-    bits = np.asarray(bits).astype(np.int64, copy=False)  # uint64 or float bits would not OR into int64
-    if bits.shape[-1] != cfg.q_bits:
-        raise ValueError(f"expected {cfg.q_bits} bits per value, got {bits.shape[-1]}")
-    return pack_bits(bits, np.int64)
-
-
-def quantize(l, cfg):
-    """Quantize l in [0, 1] to (level, bits) with the natural bit mapping."""
-    arr = np.asarray(l, dtype=np.float64)
-    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails both
-        raise ValueError("loss outside [0, 1]")
-    idx = level_indices(arr, cfg)
-    return cfg.reconstruct(idx), indices_to_bits(idx, cfg)
-
-
-def dequantize(bits, cfg):
-    """Mid-cell reconstruction of the level the bit vector encodes."""
-    return cfg.reconstruct(bits_to_indices(bits, cfg))
-
-
 def feedback_roundtrip(raw, qcfg, bsc_cfg=None, rng=None, clip_fraction=DEFAULT_CLIP_FRACTION):
     """Run a raw loss batch through the full feedback pipeline.
 
@@ -188,15 +155,6 @@ def feedback_roundtrip(raw, qcfg, bsc_cfg=None, rng=None, clip_fraction=DEFAULT_
             raise ValueError("a noisy feedback link needs an rng")
         received = bsc(codes, qcfg.q_bits, bsc_cfg.flip_prob, rng)
     return LossBatch(transformed, qcfg.reconstruct(codes), qcfg.reconstruct(received), stats)
-
-
-def distortion(losses, cfg):
-    """Mean squared quantization error over a batch of losses in [0, 1]."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ValueError("empty loss batch")
-    err = losses - quantize(losses, cfg)[0]
-    return float(np.mean(err * err))
 
 
 def linear_gain(losses, levels, var):
@@ -242,15 +200,3 @@ def gaussian_one_bit_gain(loss_var):
     if loss_var <= 0.0:
         raise ValueError("loss_var must be positive")
     return 1.0 / math.sqrt(8.0 * math.pi * loss_var)
-
-
-def loss_transform(l, kind, beta):
-    """Elementary loss shaping: clip to beta, subtract baseline beta, or scale by beta."""
-    l = np.asarray(l, dtype=np.float64)
-    if kind == CLIP:
-        return np.minimum(l, beta)
-    if kind == BASELINE:
-        return l - beta
-    if kind == SCALE:
-        return beta * l
-    raise ValueError(f"unknown transform kind {kind!r}")

@@ -8,9 +8,7 @@ all batch handling is ordinary numpy broadcasting.
 
 import copy
 import json
-import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +21,10 @@ _ACTIVATIONS = (RELU, LINEAR, SOFTMAX)
 CHECKPOINT_SCHEMA_VERSION = 1
 
 
-@dataclass
-class AdamConfig:
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie strictly inside (0, 1)")
-        if not (0.0 < self.epsilon < math.inf and 0.0 < self.learning_rate < math.inf):
-            raise ValueError("Adam learning_rate and epsilon must be positive and finite")
+# Adam's fixed hyper-parameters; the learning rate is each caller's.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class DenseNetwork:
@@ -176,13 +166,14 @@ def backward(net, tape, output_grad, out=None):
     return flat
 
 
-def adam_step(net, g, cfg):
-    """Apply one bias-corrected Adam update in place, from a flat gradient g."""
+def adam_step(net, g, learning_rate):
+    """Apply one bias-corrected Adam update in place, from a flat gradient g,
+    with ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON."""
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
     net.adam_t += 1
     t = net.adam_t
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     m, v = net.adam_m, net.adam_v
@@ -197,10 +188,10 @@ def adam_step(net, g, cfg):
     v *= b2
     v += den
     np.divide(m, corr1, out=step)
-    step *= cfg.learning_rate
+    step *= learning_rate
     np.divide(v, corr2, out=den)
     np.sqrt(den, out=den)
-    den += cfg.epsilon
+    den += ADAM_EPSILON
     step /= den
     net.params -= step
     if not np.isfinite(net.params).all():
@@ -252,9 +243,10 @@ def network_from_dict(doc):
 
 
 def save_network(net, path):
+    """Write net's checkpoint dict as sorted-key JSON and a newline. json.dumps
+    takes the C encoder, json.dump the pure-Python one, for the same text."""
     with open(path, "w") as f:
-        json.dump(network_to_dict(net), f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(network_to_dict(net), sort_keys=True) + "\n")
 
 
 def load_network(path):

@@ -18,7 +18,7 @@ import numpy as np
 from . import rngstreams
 from .channels import BscConfig, propagate
 from .feedback import DEFAULT_CLIP_FRACTION, QuantizerConfig, feedback_roundtrip, linear_gain
-from .neuralnet import AdamConfig, adam_step, forward, gradient_norm
+from .neuralnet import adam_step, forward, gradient_norm
 from .transceiver import (
     build_receiver,
     build_transmitter,
@@ -135,20 +135,22 @@ class TrainState:
         return TrainState(self.tx.copy(), self.rx.copy(), deepcopy(self.rngs), self.outer, list(self.metrics))
 
 
-def receiver_step(rx, messages, received, adam_cfg):
-    """One supervised receiver update on a message batch and its channel output.
+def receiver_step(rx, messages, received, learning_rate):
+    """One supervised receiver Adam update, at learning_rate, on a message
+    batch and its channel output.
 
     Returns (empirical_loss, grad_norm).
     """
     probs, tape = receive(rx, received)
     losses = cross_entropy_losses(probs, messages)
     grad = receiver_gradient(rx, tape, probs, messages)
-    adam_step(rx, grad, adam_cfg)
+    adam_step(rx, grad, learning_rate)
     return float(np.add.reduce(losses) / losses.size), gradient_norm(rx, grad)
 
 
-def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
-    """One policy-gradient transmitter update through the feedback chain.
+def transmitter_step(tx, rx, channel_cfg, cfg, rngs):
+    """One policy-gradient transmitter Adam update, at cfg.lr_tx, through the
+    feedback chain.
 
     The receiver is frozen; it computes per-sample cross-entropy losses on
     the perturbed transmission, and the transmitter sees those losses either
@@ -174,7 +176,7 @@ def transmitter_step(tx, rx, channel_cfg, cfg, adam_cfg, rngs):
             g_estimate = linear_gain(batch.transformed, batch.levels, var)
 
     grad = policy_gradient(tx, sent, w, fed_back, sigma_p_sq)
-    adam_step(tx, grad, adam_cfg)
+    adam_step(tx, grad, cfg.lr_tx)
     return float(np.add.reduce(losses) / losses.size), gradient_norm(tx, grad), g_estimate
 
 
@@ -209,7 +211,6 @@ def advance(state, cfg, channel_cfg, n):
 
     # The step functions are looked up per call, so a wrapper installed on
     # this module's names sees every step.
-    rx_adam, tx_adam = AdamConfig(learning_rate=cfg.lr_rx), AdamConfig(learning_rate=cfg.lr_tx)
     rx_steps = range(1, cfg.n_rx_steps + 1)
     identity = np.eye(cfg.num_messages)
     for _ in range(n):
@@ -221,12 +222,10 @@ def advance(state, cfg, channel_cfg, n):
             batch *= _located(state, PHASE_RX, step, power_scale, batch, channel_cfg.P_mw)
         received = propagate(real_to_complex(symbols), channel_cfg, state.rngs.channel)
         for step, m, y in zip(rx_steps, messages, received):
-            record = _located(state, PHASE_RX, step, receiver_step, state.rx, m, y, rx_adam)
+            record = _located(state, PHASE_RX, step, receiver_step, state.rx, m, y, cfg.lr_rx)
             state.metrics.append(MetricsRecord(state.outer, PHASE_RX, step, *record))
         for step in range(1, cfg.n_tx_steps + 1):
-            record = _located(
-                state, PHASE_TX, step, transmitter_step, state.tx, state.rx, channel_cfg, cfg, tx_adam, state.rngs
-            )
+            record = _located(state, PHASE_TX, step, transmitter_step, state.tx, state.rx, channel_cfg, cfg, state.rngs)
             state.metrics.append(MetricsRecord(state.outer, PHASE_TX, step, *record))
         if state.outer % cfg.ser_every == 0 or state.outer == cfg.num_iterations:
             state.metrics[-1].ser = estimate_ser(

@@ -24,6 +24,17 @@ from conftest import (
     NLPN_DESK,
     record_acceptance,
 )
+from reference import (
+    BASELINE,
+    CLIP,
+    SCALE,
+    dequantize,
+    distortion,
+    loss_transform,
+    qam16_ser_closed_form,
+    quantize,
+    score_coordinate_std,
+)
 import qflearn
 from qflearn import rngstreams
 from qflearn.channels import AWGN, NLPN, ChannelConfig, propagate
@@ -35,23 +46,9 @@ from qflearn.evaluation import (
     collect_score_samples,
     detector_ser,
     qam16,
-    qam16_ser_closed_form,
-    score_coordinate_std,
     score_moments,
 )
-from qflearn.feedback import (
-    BASELINE,
-    CLIP,
-    SCALE,
-    QuantizerConfig,
-    bussgang_gain,
-    dequantize,
-    distortion,
-    loss_transform,
-    preprocess,
-    quantize,
-    quantize_value,
-)
+from qflearn.feedback import QuantizerConfig, bussgang_gain, preprocess, quantize_value
 from qflearn.transceiver import constellation, real_to_complex
 from test_neuralnet import finite_difference, random_network, scalar_probe_gradient
 

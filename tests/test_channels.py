@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from conftest import bounded_call
+from reference import indices_to_bits
 
 from qflearn import channels
 from qflearn.channels import (
@@ -23,8 +24,7 @@ from qflearn.channels import (
 from qflearn.channels import _NLPN_DRAW_NORMALS as CAP
 from qflearn.channels import _NLPN_PIPELINE_SYMBOLS as PIPE
 from qflearn.channels import _gaussian_parts
-from qflearn.channels import _NLPN_ROW_GROUP_NORMALS as ROW_GROUP_CAP
-from qflearn.feedback import QuantizerConfig, indices_to_bits
+from qflearn.feedback import QuantizerConfig
 
 
 def test_dbm_conversions():
@@ -171,20 +171,20 @@ def nlpn_per_step(x, cfg, rng):
 
 NLPN_DESK = dict(family=NLPN, P_dbm=0.0, gamma=1.27, L_km=5000.0, K=50)
 ELIDE_SYMBOLS = 256 * 1024 // 16  # complex128 symbols from which NumPy elides temporaries
+WHOLE = CAP // (2 * 50)  # the widest use whose K = 50 steps are one draw
 
 
 # Shapes on both sides of the draw cap at K = 50: all steps in one draw (1,
-# 64, and 8x8, a stack of 8 uses of 8), blocks of 4 steps with a last block
-# of 2 (CAP // 8), one step per draw (CAP // 2 + 1); 23x64 is a stack of
-# two full row groups and a partial one. Then a 0-d use, one full row group
-# (10x64), the two sides of NumPy's temporary elision, where the operand
-# order of the step's complex product changes, the two sides of the size
-# from which the recursion steps on a helper thread, and a stack of two uses
-# that each take the helper.
+# 64, 8x8, a stack of 8 uses of 8, and WHOLE), one step per draw (WHOLE +
+# 1); 23x64 is a stack of two full row groups and a partial one. Then a 0-d
+# use, one full row group (10x64), the two sides of NumPy's temporary
+# elision, where the operand order of the step's complex product changes,
+# the two sides of the size from which the recursion steps on a helper
+# thread, and a stack of two uses that each take the helper.
 @pytest.mark.parametrize(
     "shape",
     [
-        (1,), (64,), (8, 8), (CAP // 8,), (CAP // 2 + 1,), (23, 64), (), (10, 64),
+        (1,), (64,), (8, 8), (WHOLE,), (WHOLE + 1,), (23, 64), (), (10, 64),
         (ELIDE_SYMBOLS - 1,), (ELIDE_SYMBOLS,), (PIPE - 1,), (PIPE,), (2, PIPE),
     ],
 )
@@ -205,9 +205,30 @@ def test_nlpn_blocked_draw_matches_per_step_recursion(shape, sigma_sq_dbm):
 
 
 def test_pipeline_cases_draw_one_step_per_draw():
-    """The helper thread is taken only where each draw is one step's noise."""
-    assert CAP // (2 * (PIPE - 1)) <= 1
-    assert 2 * 50 * PIPE > ROW_GROUP_CAP  # a stacked row this wide goes through the single-use path
+    """The helper thread is taken only where each draw is one step's noise:
+    a piped use is too wide to draw its K = 50 steps at once."""
+    assert 2 * 50 * PIPE > CAP
+
+
+def test_width_cases_straddle_the_draw_cap():
+    assert 2 * 50 * WHOLE <= CAP < 2 * 50 * (WHOLE + 1)
+    assert WHOLE == 655
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (64,), (WHOLE + 1,), (PIPE,)])
+def test_a_single_use_steps_in_buffers_of_its_own_shape(monkeypatch, shape):
+    """A 0-d or 1-d use reaches the recursion as it is: a 1-d use in 1-d
+    buffers, whether drawn whole, one step per draw or piped."""
+    seen = []
+
+    def steps(x, cfg):
+        seen.append(x.shape)
+        return real_steps(x, cfg)
+
+    real_steps = channels._nlpn_steps
+    monkeypatch.setattr(channels, "_nlpn_steps", steps)
+    nlpn(np.full(shape, 0.5 + 0.5j), ChannelConfig(sigma_sq_dbm=-21.3, **NLPN_DESK), np.random.default_rng(4))
+    assert seen == [shape]
 
 
 def _fail_on_first_block(real_steps):
@@ -303,12 +324,6 @@ def test_cos_sin_equal_complex_exp_of_imaginary_argument():
     assert rot.tobytes() == np.exp(1j * theta).tobytes()
 
 
-def test_nlpn_uneven_block_case_is_uneven():
-    block = CAP // (2 * (CAP // 8))
-    assert 1 < block < 50 and 50 % block != 0
-    assert CAP // (2 * (CAP // 2 + 1)) == 0  # falls back to one step per draw
-
-
 def stack_case(family, sigma_sq_dbm, n, width):
     """A (n, width) channel input and its configured channel."""
     cfg = ChannelConfig(family=family, sigma_sq_dbm=sigma_sq_dbm, P_dbm=-3.0, gamma=1.27, L_km=5000.0, K=50)
@@ -317,16 +332,17 @@ def stack_case(family, sigma_sq_dbm, n, width):
 
 
 # At K = 50 a row of 64 takes 6,400 normals, so the row group is 10 rows of
-# 64; rows of 37 symbols fit 17 to a group; a row of 700 (70,000 normals) is
-# wider than the row-group cap and goes through the single-use path.
-GROUP_OF_64 = ROW_GROUP_CAP // (2 * 50 * 64)
+# 64; rows of 37 symbols fit 17 to a group, rows of WHOLE one to a group; a
+# row of 700 (70,000 normals) is wider than the cap and draws one step per
+# draw.
+GROUP_OF_64 = CAP // (2 * 50 * 64)
 WIDE = 700
 
 
 @pytest.mark.parametrize(
     "n, width",
-    [(1, 64), (GROUP_OF_64, 64), (30, 64), (23, 64), (19, 37), (3, WIDE), (0, 64)],
-    ids=["one-row", "one-group", "three-groups", "partial-group", "odd-width", "wider-than-cap", "empty"],
+    [(1, 64), (GROUP_OF_64, 64), (30, 64), (23, 64), (19, 37), (3, WHOLE), (3, WIDE), (0, 64)],
+    ids=["one-row", "one-group", "three-groups", "partial-group", "odd-width", "row-per-group", "wider-than-cap", "empty"],
 )
 @pytest.mark.parametrize("family", [AWGN, NLPN])
 @pytest.mark.parametrize("sigma_sq_dbm", [-21.3, -np.inf])
@@ -347,9 +363,8 @@ def test_stacked_call_equals_sequential_calls(sigma_sq_dbm, family, n, width):
 
 def test_stack_cases_straddle_the_row_group_cap():
     assert GROUP_OF_64 == 10 and 23 % GROUP_OF_64 != 0
-    assert 2 * 50 * WIDE > ROW_GROUP_CAP
-    # a wide row takes several steps per single-use draw, so its own blocks are exercised too
-    assert 1 < CAP // (2 * WIDE) < 50
+    assert CAP // (2 * 50 * WHOLE) == 1
+    assert 2 * 50 * WIDE > CAP
 
 
 def test_propagate_dispatch():
@@ -367,6 +382,13 @@ def test_propagate_dispatch():
 def test_channel_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(family="fiber", sigma_sq_dbm=0.0, P_dbm=0.0)
+    for p_dbm in (4000.0, -4000.0):
+        with pytest.raises(ValueError, match="P_dbm must give a positive, finite power in mW"):
+            ChannelConfig(family=AWGN, sigma_sq_dbm=0.0, P_dbm=p_dbm)
+    with pytest.raises(ValueError, match="sigma_sq_dbm must give a finite power in mW"):
+        ChannelConfig(family=AWGN, sigma_sq_dbm=4000.0, P_dbm=0.0)
+    # a noise power that underflows to 0 mW is a noiseless channel, as -inf dBm is
+    assert ChannelConfig(family=AWGN, sigma_sq_dbm=-4000.0, P_dbm=0.0).sigma_sq_mw == 0.0
     with pytest.raises(ValueError):
         ChannelConfig(family=NLPN, sigma_sq_dbm=0.0, P_dbm=0.0, gamma=1.0, L_km=0.0)
     with pytest.raises(ValueError):

@@ -346,6 +346,34 @@ def test_sweep_point_with_non_finite_power_exits_2(tmp_path, capsys, parameter):
     assert not any(out.iterdir())  # rejected before any point is trained
 
 
+@pytest.mark.parametrize("command", ["train", "ser-sweep", "verify"])
+@pytest.mark.parametrize(
+    "key, dbm, message",
+    [
+        ("P_dbm", 4000.0, "P_dbm must give a positive, finite power in mW, got 4000.0"),
+        ("P_dbm", -4000.0, "P_dbm must give a positive, finite power in mW, got -4000.0"),
+        ("sigma_sq_dbm", 4000.0, "sigma_sq_dbm must give a finite power in mW, got 4000.0"),
+    ],
+)
+def test_channel_power_out_of_range_in_mw_exits_2(tmp_path, capsys, command, key, dbm, message):
+    """10^(dBm/10) overflows at 4000 dBm and is 0 mW at -4000 dBm: rejected
+    at the config boundary, before anything is trained."""
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"parameter": "p_dbm", "values": [-6.3], "num_symbols": 1000})
+    cfg["channel"][key] = dbm
+    assert main([command, write_config(tmp_path, cfg)]) == 2
+    assert f"invalid channel config: {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_sweep_point_whose_power_overflows_in_mw_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"parameter": "snr_db", "values": [15.0, 5000.0], "num_symbols": 1000})
+    assert main(["ser-sweep", write_config(tmp_path, cfg)]) == 2
+    assert "invalid sweep config: P_dbm must give a positive, finite power in mW" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_noiseless_minus_infinity_config_still_loads_and_trains(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import bounded_call
+from reference import qam16_ser_closed_form, score_coordinate_std
 
 from qflearn import channels, evaluation, neuralnet, transceiver
 from qflearn.channels import AWGN, NLPN, ChannelConfig, _blas_threads, bsc, propagate
@@ -29,8 +30,6 @@ from qflearn.evaluation import (
     detector_ser,
     estimate_ser,
     qam16,
-    qam16_ser_closed_form,
-    score_coordinate_std,
     score_moments,
     verify_bitflip_gradient_scaling,
     verify_gradient_scaling,
@@ -178,9 +177,7 @@ def test_sampled_nlpn_detector_agrees_with_exact_on_linear_channel():
         family=NLPN, sigma_sq_dbm=-21.3, P_dbm=-6.3, gamma=0.0, L_km=5000.0, K=10
     )
     points = qam16(channel.P_mw)
-    fitted = SampledNlpnDetector.fit(
-        points, channel, np.random.default_rng(6), draws_per_point=40_000, bins=80
-    )
+    fitted = SampledNlpnDetector.fit(points, channel, np.random.default_rng(6), draws_per_point=40_000)
     exact = ExactAwgnDetector(points)
     rng = np.random.default_rng(7)
     m = rng.integers(0, 16, size=20_000)
@@ -202,9 +199,9 @@ def test_sampled_nlpn_detector_is_rotation_covariant():
     turn = np.exp(0.3j)
     rotated = points * turn
     assert len(set(np.abs(rotated).tolist())) > 3
-    plain = SampledNlpnDetector.fit(points, NLPN_SMALL, np.random.default_rng(10), draws_per_point=20_000, bins=60)
-    turned = SampledNlpnDetector.fit(rotated, NLPN_SMALL, np.random.default_rng(10), draws_per_point=20_000, bins=60)
-    assert plain.log_density.shape == turned.log_density.shape == (3, 60, 60)
+    plain = SampledNlpnDetector.fit(points, NLPN_SMALL, np.random.default_rng(10), draws_per_point=20_000)
+    turned = SampledNlpnDetector.fit(rotated, NLPN_SMALL, np.random.default_rng(10), draws_per_point=20_000)
+    assert plain.log_density.shape == turned.log_density.shape == (3, 100, 100)
     rng = np.random.default_rng(11)
     m = rng.integers(0, 16, size=20_000)
     y = propagate(points[m], NLPN_SMALL, rng)
@@ -216,7 +213,7 @@ def test_sampled_nlpn_detector_point_at_origin():
     detector with a point there still matches the nearest-point rule."""
     channel = ChannelConfig(family=NLPN, sigma_sq_dbm=-21.3, P_dbm=-6.3, gamma=0.0, L_km=5000.0, K=3)
     points = np.array([0.0, 0.4, 0.4j, -0.4, -0.4j], dtype=np.complex128)
-    fitted = SampledNlpnDetector.fit(points, channel, np.random.default_rng(12), draws_per_point=20_000, bins=60)
+    fitted = SampledNlpnDetector.fit(points, channel, np.random.default_rng(12), draws_per_point=20_000)
     assert np.all(np.isfinite(fitted.frames)) and fitted.frames[0] == 1.0
     assert fitted.log_density.shape[0] == 2
     rng = np.random.default_rng(13)
@@ -225,16 +222,7 @@ def test_sampled_nlpn_detector_point_at_origin():
     assert np.mean(fitted.decide(y) == ExactAwgnDetector(points).decide(y)) >= 0.99
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"draws_per_point": 0}, "draws_per_point must be >= 1"),
-        ({"bins": 0}, "bins must be >= 1"),
-        ({"pad": -1.0}, "pad must be finite and >= 0"),
-        ({"pad": math.nan}, "pad must be finite and >= 0"),
-        ({"pad": math.inf}, "pad must be finite and >= 0"),
-    ],
-)
+@pytest.mark.parametrize("kwargs, message", [({"draws_per_point": 0}, "draws_per_point must be >= 1")])
 def test_sampled_nlpn_detector_fit_rejects_bad_arguments(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SampledNlpnDetector.fit(qam16(NLPN_SMALL.P_mw), NLPN_SMALL, np.random.default_rng(0), **kwargs)
@@ -256,7 +244,7 @@ def test_sampled_nlpn_detector_fit_draws_from_a_broadcast_radius(monkeypatch):
 def test_sampled_nlpn_detector_cell_matches_searchsorted():
     """The arithmetic cell index is the clamped searchsorted cell, on every
     edge, next to it, and outside the grid."""
-    fitted = SampledNlpnDetector.fit(qam16(NLPN_SMALL.P_mw), NLPN_SMALL, np.random.default_rng(1), draws_per_point=10, bins=37)
+    fitted = SampledNlpnDetector.fit(qam16(NLPN_SMALL.P_mw), NLPN_SMALL, np.random.default_rng(1), draws_per_point=10)
     edges = fitted.edges
     v = np.concatenate(
         [
@@ -1080,16 +1068,18 @@ def serial_flips(pre, q_bits_list, flip_probs, flip_draws, rng):
 
 
 def flips_and_final_states(monkeypatch, n, q_bits_list, flip_probs, flip_draws):
-    """The check's flip blocks and the serial loop's, then the final state
-    of the check's generator and the serial loop's. Both generators start
-    with half of a 64-bit output buffered by a 32-bit draw."""
+    """The check's flip blocks and the serial loop's, at flip_draws draws
+    per sample, then the final state of the check's generator and the
+    serial loop's. Both generators start with half of a 64-bit output
+    buffered by a 32-bit draw."""
+    monkeypatch.setattr(evaluation, "FLIP_DRAWS", flip_draws)
     pre = fixed_losses(monkeypatch, n)
     calls = recorded_bsc(monkeypatch)
     rng, serial_rng = np.random.default_rng(21), np.random.default_rng(21)
     for gen in (rng, serial_rng):
         gen.random(dtype=np.float32)
     samples = random_samples(16, np.uint8, n, seed=4)
-    verify_bitflip_gradient_scaling(samples, rng, q_bits_list, flip_probs, flip_draws=flip_draws)
+    verify_bitflip_gradient_scaling(samples, rng, q_bits_list, flip_probs)
     serial = serial_flips(pre, q_bits_list, flip_probs, flip_draws, serial_rng)
     positioned = [tuple(np.concatenate(part) for part in zip(*block)) for block in calls.values()]
     assert len(positioned) == len(serial) == len(q_bits_list) * len(flip_probs) * flip_draws
@@ -1114,7 +1104,7 @@ def test_flip_generator_keeps_a_buffered_32_bit_half(monkeypatch):
     """The serial loop's float64 draws leave a buffered 32-bit half where
     it is. The default check ends in that state too, although moving a
     generator clears the buffer."""
-    state, serial_state = flips_and_final_states(monkeypatch, 70_000, (1, 2), (0.1, 0.2, 0.3), 8)
+    state, serial_state = flips_and_final_states(monkeypatch, 70_000, (1, 2), (0.1, 0.2, 0.3), evaluation.FLIP_DRAWS)
     assert state["has_uint32"] == 1
     assert state == serial_state
 
@@ -1248,7 +1238,7 @@ def test_bitflip_check_leaves_no_thread_behind(monkeypatch, two_blas_threads, ch
         return _score_norms_sq(*args)
 
     monkeypatch.setattr(evaluation, "bsc", counted_bsc)
-    monkeypatch.setattr(evaluation, "_mean_level", lambda cfg, flip_draws: counted(_mean_level(cfg, flip_draws)))
+    monkeypatch.setattr(evaluation, "_mean_level", lambda cfg: counted(_mean_level(cfg)))
     monkeypatch.setattr(evaluation, "_level_codes", counted_codes)
     monkeypatch.setattr(evaluation, "_score_norms_sq", counted_norms)
     before = threading.active_count()
@@ -1318,20 +1308,22 @@ def reports_bytes(reports):
     "quantized_bits, bitflip_bits", [((1, 3, 5), (1, 2)), ((3, 5), (1, 2)), ((1, 2), (2, 1)), ((1,), ()), ((), (2,))]
 )
 @pytest.mark.parametrize("channel", ["awgn", "nlpn"])
-def test_one_pass_keeps_the_bits_of_each_claim_alone(claim_sets, channel, quantized_bits, bitflip_bits, flip_draws):
-    """Both claims from one pass: every report field byte for byte, and the
-    flip generator's final state, its buffered 32-bit half included, as
-    each claim checked alone. With (1, 2) and (2, 1) the flip blocks must
-    follow bitflip_bits, not the order the widths first appear in."""
+def test_one_pass_keeps_the_bits_of_each_claim_alone(
+    monkeypatch, claim_sets, channel, quantized_bits, bitflip_bits, flip_draws
+):
+    """Both claims from one pass, at flip_draws draws per sample: every
+    report field byte for byte, and the flip generator's final state, its
+    buffered 32-bit half included, as each claim checked alone. With (1, 2)
+    and (2, 1) the flip blocks must follow bitflip_bits, not the order the
+    widths first appear in."""
+    monkeypatch.setattr(evaluation, "FLIP_DRAWS", flip_draws)
     samples = claim_sets[channel]
     rng, alone_rng = np.random.default_rng(21), np.random.default_rng(21)
     for gen in (rng, alone_rng):
         gen.random(dtype=np.float32)
-    quant, flip = verify_gradient_scaling(
-        samples, rng, quantized_bits, bitflip_bits, (0.0, 0.5), flip_draws=flip_draws
-    )
+    quant, flip = verify_gradient_scaling(samples, rng, quantized_bits, bitflip_bits, (0.0, 0.5))
     assert reports_bytes(quant) == reports_bytes(verify_quantized_gradient_scaling(samples, quantized_bits))
-    alone = verify_bitflip_gradient_scaling(samples, alone_rng, bitflip_bits, (0.0, 0.5), flip_draws=flip_draws)
+    alone = verify_bitflip_gradient_scaling(samples, alone_rng, bitflip_bits, (0.0, 0.5))
     assert reports_bytes(flip) == reports_bytes(alone)
     assert rng.bit_generator.state == alone_rng.bit_generator.state
     assert rng.bit_generator.state["has_uint32"] == 1
@@ -1339,14 +1331,15 @@ def test_one_pass_keeps_the_bits_of_each_claim_alone(claim_sets, channel, quanti
 
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("flip_draws", [1, 3, 8])
-def test_mean_level_keeps_the_out_of_place_bits(q, flip_draws):
-    """Every sum of flip_draws level codes, 0 and the top included, expands
-    to the bits of the out-of-place cfg.reconstruct(sums / flip_draws). At
+def test_mean_level_keeps_the_out_of_place_bits(monkeypatch, q, flip_draws):
+    """Every sum of FLIP_DRAWS level codes, 0 and the top included, expands
+    to the bits of the out-of-place cfg.reconstruct(sums / FLIP_DRAWS). At
     p = 0 every draw is the sent code, and the mean level is its level."""
+    monkeypatch.setattr(evaluation, "FLIP_DRAWS", flip_draws)
     cfg = QuantizerConfig(q)
     top = flip_draws * (cfg.num_levels - 1)
     sums = np.arange(top + 1).astype(np.min_scalar_type(top))
-    expand = _mean_level(cfg, flip_draws)
+    expand = _mean_level(cfg)
     assert expand(sums).tobytes() == (cfg.delta / 2.0 + cfg.delta * (sums / flip_draws)).tobytes()
     sent = np.arange(cfg.num_levels, dtype=np.uint8)
     assert expand(flip_draws * sent).tobytes() == cfg.reconstruct(sent).tobytes()

@@ -4,26 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from reference import (
+    BASELINE,
+    CLIP,
+    SCALE,
+    bits_to_indices,
+    dequantize,
+    distortion,
+    indices_to_bits,
+    loss_transform,
+    quantize,
+)
 
 from qflearn.channels import BscConfig
 from qflearn.feedback import (
-    BASELINE,
-    CLIP,
     MAX_Q_BITS,
-    SCALE,
     QuantizerConfig,
-    bits_to_indices,
     bussgang_gain,
-    dequantize,
-    distortion,
     feedback_roundtrip,
     gaussian_one_bit_gain,
-    indices_to_bits,
     level_indices,
-    loss_transform,
     preprocess,
     preprocess_bounds,
-    quantize,
     quantize_value,
     rescale,
 )

@@ -10,7 +10,6 @@ from qflearn.neuralnet import (
     LINEAR,
     RELU,
     SOFTMAX,
-    AdamConfig,
     DenseNetwork,
     adam_step,
     backward,
@@ -176,7 +175,7 @@ def test_copy_is_independent():
     rng = np.random.default_rng(12)
     net = glorot_init([3, 4, 2], [RELU, LINEAR], rng)
     out, tape = forward(net, rng.normal(size=(5, 3)))
-    adam_step(net, backward(net, tape, np.ones_like(out)), AdamConfig(learning_rate=0.01))
+    adam_step(net, backward(net, tape, np.ones_like(out)), 0.01)
     dup = net.copy()
     np.testing.assert_array_equal(dup.params, net.params)
     np.testing.assert_array_equal(dup.adam_m, net.adam_m)
@@ -200,8 +199,7 @@ def test_adam_first_step_matches_hand_formula():
     w = np.array([[1.0, -2.0]])
     net = DenseNetwork([2, 1], [LINEAR], [*w.ravel(), 0.5])
     grad = np.array([0.3, -0.7, 0.1])
-    cfg = AdamConfig(learning_rate=0.01)
-    adam_step(net, grad, cfg)
+    adam_step(net, grad, 0.01)
     # bias-corrected m_hat = g, v_hat = g^2, so the update is lr * sign(g)
     # up to the epsilon in the denominator
     g = np.array([[0.3, -0.7]])
@@ -216,22 +214,21 @@ def test_adam_first_step_matches_hand_formula():
 def test_adam_two_steps_match_reference_recursion():
     rng = np.random.default_rng(21)
     net = glorot_init([2, 3], [LINEAR], rng)
-    cfg = AdamConfig(learning_rate=0.05, beta1=0.8, beta2=0.95, epsilon=1e-8)
     flat0 = net.params.copy()
     g1 = rng.normal(size=flat0.shape)
     g2 = rng.normal(size=flat0.shape)
 
-    adam_step(net, g1, cfg)
-    adam_step(net, g2, cfg)
+    adam_step(net, g1, 0.05)
+    adam_step(net, g2, 0.05)
 
     m = np.zeros_like(flat0)
     v = np.zeros_like(flat0)
     theta = flat0.copy()
     for t, g in ((1, g1), (2, g2)):
-        m = 0.8 * m + 0.2 * g
-        v = 0.95 * v + 0.05 * g * g
-        m_hat = m / (1.0 - 0.8**t)
-        v_hat = v / (1.0 - 0.95**t)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
         theta = theta - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(net.params, theta, rtol=1e-12)
 
@@ -240,14 +237,13 @@ def test_adam_rejects_non_finite_gradient():
     """A non-finite gradient raises before touching parameters or optimizer state."""
     rng = np.random.default_rng(31)
     net = glorot_init([2, 3, 2], [RELU, LINEAR], rng)
-    cfg = AdamConfig(learning_rate=0.01)
-    adam_step(net, rng.normal(size=net.params.size), cfg)
+    adam_step(net, rng.normal(size=net.params.size), 0.01)
     before = (net.params.copy(), net.adam_m.copy(), net.adam_v.copy(), net.adam_t)
     for bad in (np.nan, np.inf, -np.inf):
         flat = rng.normal(size=net.params.size)
         flat[-1] = bad  # last bias: the final slot of the flat layout
         with pytest.raises(ValueError, match="non-finite gradient"):
-            adam_step(net, flat, cfg)
+            adam_step(net, flat, 0.01)
         np.testing.assert_array_equal(net.params, before[0])
         np.testing.assert_array_equal(net.adam_m, before[1])
         np.testing.assert_array_equal(net.adam_v, before[2])
@@ -346,6 +342,19 @@ def test_checkpoint_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     save_network(back, str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_bytes_equal_the_streamed_json_dump(tmp_path):
+    """save_network writes the text json.dump streams, for signed zeros,
+    subnormals, huge values and shortest-repr decimals alike."""
+    net = DenseNetwork([2, 2], [LINEAR], [-0.0, 5e-324, 1e308, 0.1, -1e308, 0.0])
+    path = tmp_path / "net.json"
+    save_network(net, str(path))
+    with open(tmp_path / "dumped.json", "w") as f:
+        json.dump(network_to_dict(net), f, sort_keys=True)
+        f.write("\n")
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
 
 
 def _drop_biases(doc):

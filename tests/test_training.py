@@ -8,7 +8,7 @@ import pytest
 from qflearn.channels import AWGN, NLPN, BscConfig, ChannelConfig, propagate
 from qflearn.evaluation import estimate_ser
 from qflearn.feedback import QuantizerConfig
-from qflearn.neuralnet import AdamConfig, adam_step, gradient_norm
+from qflearn.neuralnet import adam_step, gradient_norm
 from qflearn.training import (
     METRICS_COLUMNS,
     PHASE_RX,
@@ -84,11 +84,6 @@ def test_config_rejects_non_finite_and_out_of_range_values():
         with pytest.raises(ValueError, match="clip_fraction"):
             TrainingConfig(num_iterations=1, clip_fraction=clip_fraction)
     assert TrainingConfig(num_iterations=1, clip_fraction=0.0).clip_fraction == 0.0
-    for bad in (dict(learning_rate=nan), dict(learning_rate=inf), dict(learning_rate=0.01, epsilon=nan)):
-        with pytest.raises(ValueError, match="Adam"):
-            AdamConfig(**bad)
-    with pytest.raises(ValueError, match="betas"):
-        AdamConfig(learning_rate=0.01, beta1=nan)
     for bad in (dict(P_dbm=inf), dict(P_dbm=nan), dict(sigma_sq_dbm=nan), dict(sigma_sq_dbm=inf)):
         with pytest.raises(ValueError, match="finite"):
             ChannelConfig(**{"family": AWGN, "sigma_sq_dbm": -21.3, "P_dbm": -6.3, **bad})
@@ -163,39 +158,38 @@ def test_phases_touch_only_their_network():
     state = TrainState.start(cfg, seed=21)
     tx_before, rx_before = net_bytes(state.tx), net_bytes(state.rx)
     for _ in range(5):
-        receiver_step(state.rx, *receiver_batch(state, cfg, CHANNEL), AdamConfig(learning_rate=cfg.lr_rx))
+        receiver_step(state.rx, *receiver_batch(state, cfg, CHANNEL), cfg.lr_rx)
     assert net_bytes(state.tx) == tx_before
     assert net_bytes(state.rx) != rx_before
 
     rx_after = net_bytes(state.rx)
     for _ in range(5):
-        transmitter_step(state.tx, state.rx, CHANNEL, cfg, AdamConfig(learning_rate=cfg.lr_tx), state.rngs)
+        transmitter_step(state.tx, state.rx, CHANNEL, cfg, state.rngs)
     assert net_bytes(state.rx) == rx_after
     assert net_bytes(state.tx) != tx_before
 
 
-def per_step_receiver_step(state, cfg, channel_cfg, adam_cfg):
+def per_step_receiver_step(state, cfg, channel_cfg):
     """The receiver step as it was before advance stacked the receiver phase:
     it draws its own batch and makes its own propagate call."""
     messages, received = receiver_batch(state, cfg, channel_cfg)
     probs, tape = receive(state.rx, received)
     losses = cross_entropy_losses(probs, messages)
     grad = receiver_gradient(state.rx, tape, probs, messages)
-    adam_step(state.rx, grad, adam_cfg)
+    adam_step(state.rx, grad, cfg.lr_rx)
     return float(losses.mean()), gradient_norm(state.rx, grad)
 
 
 def per_step_advance(state, cfg, channel_cfg, n):
     """The reference for advance: every gradient step in turn, one channel
     call per receiver batch."""
-    rx_adam, tx_adam = AdamConfig(learning_rate=cfg.lr_rx), AdamConfig(learning_rate=cfg.lr_tx)
     for _ in range(n):
         state.outer += 1
         for step in range(1, cfg.n_rx_steps + 1):
-            record = per_step_receiver_step(state, cfg, channel_cfg, rx_adam)
+            record = per_step_receiver_step(state, cfg, channel_cfg)
             state.metrics.append(MetricsRecord(state.outer, PHASE_RX, step, *record))
         for step in range(1, cfg.n_tx_steps + 1):
-            record = transmitter_step(state.tx, state.rx, channel_cfg, cfg, tx_adam, state.rngs)
+            record = transmitter_step(state.tx, state.rx, channel_cfg, cfg, state.rngs)
             state.metrics.append(MetricsRecord(state.outer, PHASE_TX, step, *record))
         if state.outer % cfg.ser_every == 0 or state.outer == cfg.num_iterations:
             state.metrics[-1].ser = estimate_ser(
@@ -301,11 +295,10 @@ def test_receiver_loss_drops_on_noiseless_channel():
     noiseless = ChannelConfig(family=AWGN, sigma_sq_dbm=-np.inf, P_dbm=-6.3)
     cfg = small_config(batch_rx=64)
     state = TrainState.start(cfg, seed=31)
-    adam = AdamConfig(learning_rate=0.008)
     first = None
     last = None
     for _ in range(400):
-        loss, _ = receiver_step(state.rx, *receiver_batch(state, cfg, noiseless), adam)
+        loss, _ = receiver_step(state.rx, *receiver_batch(state, cfg, noiseless), 0.008)
         if first is None:
             first = loss
         last = loss

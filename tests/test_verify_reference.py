@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from reference import bits_to_indices, quantize
 
+from qflearn import evaluation
 from qflearn.channels import AWGN, ChannelConfig
 from qflearn.evaluation import (
     DEFAULT_CHUNK,
@@ -27,10 +29,8 @@ from qflearn.evaluation import (
 from qflearn.feedback import (
     DEFAULT_CLIP_FRACTION,
     QuantizerConfig,
-    bits_to_indices,
     bussgang_gain,
     preprocess,
-    quantize,
     quantize_value,
 )
 from qflearn.transceiver import build_receiver, build_transmitter, score_upstream
@@ -214,9 +214,10 @@ def test_bitflip_reports_equal_float64_reference(samples):
     assert report_bits(reports) == report_bits(expect)
 
 
-def test_bitflip_reports_equal_float64_reference_odd_flip_draws(samples):
+def test_bitflip_reports_equal_float64_reference_odd_flip_draws(monkeypatch, samples):
     """Three draws sum to codes the uint8 holds, and their mean is no longer dyadic."""
-    args = ((2,), (0.1,), DEFAULT_CLIP_FRACTION, 3)
+    monkeypatch.setattr(evaluation, "FLIP_DRAWS", 3)
+    args = ((2,), (0.1,), DEFAULT_CLIP_FRACTION)
     reports = verify_bitflip_gradient_scaling(samples, np.random.default_rng(24), *args)
-    expect = reference_bitflip(samples, np.random.default_rng(24), *args)
+    expect = reference_bitflip(samples, np.random.default_rng(24), *args, flip_draws=3)
     assert report_bits(reports) == report_bits(expect)
